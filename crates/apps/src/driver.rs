@@ -168,6 +168,27 @@ mod tests {
     }
 
     #[test]
+    fn run_jobs_cap_miss_fast_forwards_to_the_deadline() {
+        // A job that never completes, in an idle world and beside a
+        // free-running ticker whose last tick before the cap is at 5 ms:
+        // either way the drive reports the miss with the clock exactly
+        // at the deadline.
+        let cap = SimDuration::from_nanos(5_500_000);
+        let mut idle = World::new(3);
+        idle.register_job("stuck");
+        assert!(!run_jobs(&mut idle, cap));
+        assert_eq!(idle.now(), SimTime::ZERO + cap);
+
+        let mut busy = World::new(3);
+        busy.register_job("stuck");
+        let a = busy.add_actor("t", Ticker);
+        busy.send_now(a, Start);
+        assert!(!run_jobs(&mut busy, cap));
+        assert_eq!(busy.now(), SimTime::ZERO + cap);
+        assert_eq!(busy.metrics.counter("ticks"), 6.0);
+    }
+
+    #[test]
     fn run_jobs_settled_lands_on_the_legacy_polling_boundary() {
         // completion at 6 ms, 4 ms slices → the slice poller stopped at
         // 8 ms; the settled driver must land on the same instant.

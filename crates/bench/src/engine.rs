@@ -1,21 +1,20 @@
-//! Deploy-plan → shard mapping for the conservative parallel engine.
+//! Deploy-plan → independent-component mapping for the worker pool.
 //!
 //! A scenario fuses its hosts into one causal component the moment they
 //! share HDFS state (a namenode, a file placement) or a workload reads
 //! across hosts. [`partition`] finds the *actual* causal components with a
 //! union-find over the host graph and splits the scenario into one
 //! sub-scenario per component; [`run_partitioned`] then deploys each
-//! component as its own [`Shard`] (own namenode, own file population) and
-//! runs them on the engine's worker pool.
+//! component as its own world (own namenode, own file population) and
+//! runs them on the `run_indexed` worker pool.
 //!
 //! Partitioned deployment is a *deployment mode*: each component anchors
 //! its own namenode, so a partitioned run is not byte-comparable to
 //! deploying the same topology as one fused world. What **is** guaranteed
-//! — and what the `cluster_8host_fanout` bench and the shard-determinism
-//! tests assert — is that a partitioned run produces byte-identical
-//! reports at every `--engine-threads` value, because each shard's world
-//! evolves independently under the same window protocol regardless of
-//! which OS thread drives it.
+//! — and what the `cluster_8host_fanout` bench and the determinism tests
+//! assert — is that a partitioned run produces byte-identical reports at
+//! every worker count: components never exchange a message, and each is
+//! built and driven whole by the one worker that picks it up.
 
 use crate::spec::{
     FileSpec, HostSpec, ScenarioReport, ScenarioSpec, SpecError, VmRole, VmSpec, WorkloadBinding,
@@ -223,10 +222,9 @@ pub fn partition(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
     out
 }
 
-/// Partitions `spec` into causal components and runs each as a [`Shard`]
-/// on `threads` workers. Returns per-component reports in component
-/// (plan) order; the rendered reports are byte-identical for any
-/// `threads`.
+/// Partitions `spec` into causal components and runs each on one of
+/// `threads` workers. Returns per-component reports in component (plan)
+/// order; the rendered reports are byte-identical for any `threads`.
 ///
 /// # Errors
 ///
@@ -237,24 +235,15 @@ pub fn run_partitioned(
     threads: usize,
 ) -> Result<Vec<ScenarioReport>, SpecError> {
     let groups = partition(spec);
-    let shards = groups
-        .into_iter()
-        .enumerate()
-        .map(|(i, g)| Shard::staged(format!("component{i}"), move || g.stage_for_engine()))
-        .collect();
-    let out = run_sharded(
-        EngineOpts {
-            threads,
-            lookahead: None,
-            cap: SimDuration::from_secs(3_000),
-        },
-        shards,
-    );
-    out.into_iter().collect()
+    run_indexed(groups.len(), threads, |i| {
+        groups[i].run_multi().map(|(report, _)| report)
+    })
+    .into_iter()
+    .collect()
 }
 
-/// Runs the fan-out scenario once at `threads` engine threads, returning
-/// the rendered per-component reports plus the total number of simulation
+/// Runs the fan-out scenario once on `threads` workers, returning the
+/// rendered per-component reports plus the total number of simulation
 /// events executed (for ns/event accounting in `repro bench-engine`).
 ///
 /// # Panics
@@ -263,32 +252,13 @@ pub fn run_partitioned(
 /// statically valid, so a failure is a bug.
 pub fn run_fanout_bench(n_hosts: usize, threads: usize) -> (Vec<String>, u64) {
     let groups = partition(&cluster_fanout_spec(n_hosts));
-    let shards = groups
-        .into_iter()
-        .enumerate()
-        .map(|(i, g)| {
-            Shard::staged(format!("component{i}"), move || {
-                let (w, fin) = g.stage_for_engine();
-                (w, move |w: World| {
-                    let events = w.events_processed();
-                    (fin(w), events)
-                })
-            })
-        })
-        .collect();
-    let out = run_sharded(
-        EngineOpts {
-            threads,
-            lookahead: None,
-            cap: SimDuration::from_secs(3_000),
-        },
-        shards,
-    );
+    let out = run_indexed(groups.len(), threads, |i| groups[i].run_multi());
     let mut reports = Vec::new();
     let mut events = 0u64;
-    for (r, e) in out {
-        events += e;
-        reports.push(r.expect("fan-out component runs").to_json());
+    for r in out {
+        let (report, n) = r.expect("fan-out component runs");
+        events += n;
+        reports.push(report.to_json());
     }
     (reports, events)
 }
@@ -296,7 +266,7 @@ pub fn run_fanout_bench(n_hosts: usize, threads: usize) -> (Vec<String>, u64) {
 /// The multi-host fan-out scenario behind the `cluster_8host_fanout`
 /// bench: `n` self-contained hosts, each with a client VM, a datanode VM,
 /// a 16 MiB local file, and two staggered readers — so [`partition`]
-/// yields `n` independent shards and the engine pool can demonstrate
+/// yields `n` independent components and the worker pool can demonstrate
 /// multi-host speedup.
 pub fn cluster_fanout_spec(n: usize) -> ScenarioSpec {
     let mut spec = ScenarioSpec {

@@ -46,6 +46,9 @@ use vread_host::cluster::{Cluster, HostCacheMode, VmId};
 use vread_host::costs::Costs;
 use vread_sim::prelude::*;
 
+/// Simulated-time cap on every scenario drive.
+const DRIVE_CAP: SimDuration = SimDuration::from_secs(3_000);
+
 /// A physical host.
 #[derive(Debug, Clone)]
 pub struct HostSpec {
@@ -822,87 +825,27 @@ impl ScenarioSpec {
     /// Returns [`SpecError`] when names don't resolve or the combination
     /// is invalid (no client VM, unknown path, …).
     pub fn run(&self) -> Result<ScenarioReport, SpecError> {
+        match self.workloads.as_slice() {
+            [binding] => self.run_single(binding),
+            _ => self.run_multi().map(|(report, _)| report),
+        }
+    }
+
+    /// Drives every workload concurrently (deploy → bind → arm →
+    /// `run_jobs` → aggregate), even when there is only one: partitioned
+    /// components come through here so a one-workload component keeps
+    /// the job-table measurements of the multi-workload scenario it was
+    /// split from. Returns the report and the number of events the world
+    /// executed.
+    pub(crate) fn run_multi(&self) -> Result<(ScenarioReport, u64), SpecError> {
         let mut d = self.deploy()?;
         let bound = self.bind(&d)?;
-        let cap = SimDuration::from_secs(3_000);
-        if let [(client_vm, _, binding)] = bound.as_slice() {
-            self.run_single(&mut d, *client_vm, binding, cap)
-        } else {
-            let armed = self.arm_multi(&mut d, &bound)?;
-            if !run_jobs(&mut d.w, cap) {
-                return Err(SpecError::Invalid("workload did not finish".to_owned()));
-            }
-            self.aggregate_multi(&mut d, &armed)
+        let armed = self.arm_multi(&mut d, &bound)?;
+        if !run_jobs(&mut d.w, DRIVE_CAP) {
+            return Err(SpecError::Invalid("workload did not finish".to_owned()));
         }
-    }
-
-    /// Like [`ScenarioSpec::run`], but drives the scenario's world through
-    /// the conservative parallel engine's worker pool
-    /// (`vread_sim::par::run_sharded`) when `threads > 1`.
-    ///
-    /// A scenario's hosts are causally fused — every datanode talks to the
-    /// single HDFS namenode and cross-host connections exchange messages
-    /// at actor granularity — so the deployment executes as **one shard**;
-    /// the windowed drive is byte-identical to the sequential
-    /// `run_jobs_for` by construction, and the report therefore matches
-    /// `--engine-threads 1` exactly. Single-workload scenarios use the
-    /// legacy slice-aligned measurement drive and always run sequentially.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ScenarioSpec::run`].
-    pub fn run_with_engine(&self, threads: usize) -> Result<ScenarioReport, SpecError> {
-        if threads <= 1 || self.workloads.len() <= 1 {
-            return self.run();
-        }
-        let cap = SimDuration::from_secs(3_000);
-        let spec = self.clone();
-        let shard = Shard::staged("scenario", move || spec.stage_for_engine());
-        let mut out = run_sharded(
-            EngineOpts {
-                threads,
-                lookahead: None,
-                cap,
-            },
-            vec![shard],
-        );
-        out.pop().expect("one shard, one report")
-    }
-
-    /// Build half of the engine-pool drive: deploy, bind and arm on the
-    /// owning worker thread, handing the world to the window runner and a
-    /// finish closure (capturing the non-`Send` deployment sidecar) that
-    /// aggregates once the run completes. Setup errors surface through the
-    /// finish closure of an empty world.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn stage_for_engine(
-        self,
-    ) -> (
-        World,
-        Box<dyn FnOnce(World) -> Result<ScenarioReport, SpecError>>,
-    ) {
-        let staged = (|| {
-            let mut d = self.deploy()?;
-            let bound = self.bind(&d)?;
-            let armed = self.arm_multi(&mut d, &bound)?;
-            Ok((d, armed))
-        })();
-        match staged {
-            Err(e) => (World::new(0), Box::new(move |_| Err(e))),
-            Ok((mut d, armed)) => {
-                let w = std::mem::replace(&mut d.w, World::new(0));
-                (
-                    w,
-                    Box::new(move |w: World| {
-                        d.w = w;
-                        if d.w.jobs.pending() > 0 {
-                            return Err(SpecError::Invalid("workload did not finish".to_owned()));
-                        }
-                        self.aggregate_multi(&mut d, &armed)
-                    }),
-                )
-            }
-        }
+        let report = self.aggregate_multi(&mut d, &armed)?;
+        Ok((report, d.w.events_processed()))
     }
 
     /// Resolves the topology into a deployment and validates it has a
@@ -945,13 +888,9 @@ impl ScenarioSpec {
     /// Drives a single workload with the legacy measurement math (the
     /// settled drive keeps whole-world accounting byte-identical to the
     /// polling-era reports).
-    fn run_single(
-        &self,
-        d: &mut Deployment,
-        client_vm: VmId,
-        binding: &WorkloadBinding,
-        cap: SimDuration,
-    ) -> Result<ScenarioReport, SpecError> {
+    fn run_single(&self, binding: &WorkloadBinding) -> Result<ScenarioReport, SpecError> {
+        let mut d = self.deploy()?;
+        let client_vm = d.client_vm(binding.client.as_deref())?;
         let client = d.add_client_on(client_vm);
         d.start_background();
         d.arm_faults(&self.faults)?;
@@ -976,7 +915,7 @@ impl ScenarioSpec {
                 .with_job(job);
                 let a = d.w.add_actor("dfsio", app);
                 launch(&mut d.w, a, start_delay);
-                if !run_jobs_settled(&mut d.w, cap, SimDuration::from_millis(100)) {
+                if !run_jobs_settled(&mut d.w, DRIVE_CAP, SimDuration::from_millis(100)) {
                     return Err(SpecError::Invalid("workload did not finish".to_owned()));
                 }
                 let secs =
@@ -997,7 +936,7 @@ impl ScenarioSpec {
                 .with_job(job);
                 let a = d.w.add_actor("dfsio", app);
                 launch(&mut d.w, a, start_delay);
-                if !run_jobs_settled(&mut d.w, cap, SimDuration::from_millis(100)) {
+                if !run_jobs_settled(&mut d.w, DRIVE_CAP, SimDuration::from_millis(100)) {
                     return Err(SpecError::Invalid("workload did not finish".to_owned()));
                 }
                 let secs =
@@ -1020,7 +959,7 @@ impl ScenarioSpec {
                 .with_job(job);
                 let a = d.w.add_actor("reader", rdr);
                 launch(&mut d.w, a, start_delay);
-                if !run_jobs_settled(&mut d.w, cap, SimDuration::from_millis(50)) {
+                if !run_jobs_settled(&mut d.w, DRIVE_CAP, SimDuration::from_millis(50)) {
                     return Err(SpecError::Invalid("workload did not finish".to_owned()));
                 }
                 let secs =
@@ -1049,12 +988,12 @@ impl ScenarioSpec {
             }
         };
 
-        Ok(self.finish_report(d, elapsed_s, bytes, rate, Vec::new()))
+        Ok(self.finish_report(&mut d, elapsed_s, bytes, rate, Vec::new()))
     }
 
-    /// Arms two or more concurrent workloads: every job registers a
-    /// completion token so the drive (sequential `run_jobs` or the
-    /// engine-pool window runner) can stop once all of them finish.
+    /// Arms the workloads to run concurrently: every job registers a
+    /// completion token so `run_jobs` can stop once all of them
+    /// finish.
     fn arm_multi(
         &self,
         d: &mut Deployment,

@@ -1,72 +1,13 @@
-//! Engine-thread invariance end to end: the report a scenario renders —
-//! every byte of it — must not depend on `--engine-threads`. These are
-//! the harness-level counterparts of the protocol-level properties in
-//! `vread-sim` (`par_props`): a real multi-workload scenario, a
-//! fault-matrix cell, and a partitioned multi-host fan-out.
+//! Worker-count invariance end to end: a partitioned multi-host fan-out
+//! must render every byte of its per-component reports identically no
+//! matter how many workers drive the components.
 
-use std::path::Path;
-use vread_bench::spec::WorkloadSpec;
-use vread_bench::{run_fanout_bench, FaultKind, ReadPath, ScenarioSpec};
+use vread_bench::run_fanout_bench;
 
-fn scenario_json(name: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root")
-        .join("scenarios")
-        .join(name);
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// The shipped multi-workload example (two clients, two files, a
-/// lookbusy antagonist) drives the real worker-pool path at 4 threads
-/// and must render byte-identically to the sequential run.
-#[test]
-fn multi_workload_scenario_is_engine_thread_invariant() {
-    let spec = ScenarioSpec::from_json(&scenario_json("multi-workload-example.json"))
-        .expect("example scenario parses");
-    let seq = spec.run_with_engine(1).expect("threads=1 run");
-    let par = spec.run_with_engine(4).expect("threads=4 run");
-    assert_eq!(seq.to_json(), par.to_json(), "report bytes diverged");
-    assert!(seq.bytes > 0, "scenario moved data");
-}
-
-/// One fault-matrix cell — replicated file, reader workload, a datanode
-/// crash mid-read — rendered at 1 and 4 engine threads.
-#[test]
-fn fault_matrix_cell_is_engine_thread_invariant() {
-    let spec = ScenarioSpec::builder()
-        .path(ReadPath::VreadRdma)
-        .spans(true)
-        .host("h1", 4, 2.0)
-        .host("h2", 4, 2.0)
-        .client("client", "h1")
-        .datanode("dn1", "h1")
-        .datanode("dn2", "h2")
-        .replicated_file("/d", 128, &["dn1", "dn2"])
-        .workload(WorkloadSpec::Reader {
-            path: "/d".to_owned(),
-            request_kb: 1024,
-        })
-        .fault(
-            40,
-            FaultKind::DaemonCrash {
-                host: "h1".to_owned(),
-            },
-        )
-        .build()
-        .expect("cell spec builds");
-    let seq = spec.run_with_engine(1).expect("threads=1 run");
-    let par = spec.run_with_engine(4).expect("threads=4 run");
-    assert_eq!(seq.to_json(), par.to_json(), "report bytes diverged");
-    let f = seq.faults.as_ref().expect("fault report present");
-    assert!(f.events > 0, "the injected fault fired");
-}
-
-/// The multi-host fan-out splits into per-host shards; the rendered
+/// The multi-host fan-out splits into per-host components; the rendered
 /// per-component reports must be identical at any worker count.
 #[test]
-fn partitioned_fanout_is_engine_thread_invariant() {
+fn partitioned_fanout_is_worker_count_invariant() {
     let (seq, seq_events) = run_fanout_bench(4, 1);
     let (par, par_events) = run_fanout_bench(4, 4);
     assert_eq!(seq, par, "component report bytes diverged");

@@ -1,10 +1,6 @@
-//! Determinism of the telemetry timeline across execution knobs.
-//!
-//! The sampler runs as ordinary engine events and the latency windows
-//! are log-bucket histograms whose merge is associative, so a scenario's
-//! `timeline` report block must be byte-identical whether the world is
-//! driven sequentially or through the conservative parallel engine —
-//! and scenarios without a `timeline` block must serialize exactly as
+//! The telemetry timeline end to end: a scenario with a `timeline` block
+//! reports sampled windows and series (and splices counter tracks into
+//! its Perfetto trace), and scenarios without one serialize exactly as
 //! they did before the timeline existed.
 
 use vread_bench::spec::WorkloadSpec;
@@ -42,31 +38,22 @@ fn staggered(timeline: bool) -> ScenarioBuilder {
 }
 
 #[test]
-fn timeline_report_is_engine_thread_invariant() {
-    let seq = staggered(true)
+fn timeline_report_carries_windows_and_series() {
+    let report = staggered(true)
         .build()
         .expect("spec builds")
-        .run_with_engine(1)
-        .expect("sequential run");
-    let par = staggered(true)
-        .build()
-        .expect("spec builds")
-        .run_with_engine(4)
-        .expect("parallel run");
-    let (a, b) = (seq.to_json(), par.to_json());
+        .run()
+        .expect("run");
+    let json = report.to_json();
     assert!(
-        a.contains("\"timeline\""),
+        json.contains("\"timeline\""),
         "timeline block present when enabled"
     );
     assert!(
-        a.contains("\"windows\"") && a.contains("\"series\""),
+        json.contains("\"windows\"") && json.contains("\"series\""),
         "timeline block carries windows and series"
     );
-    assert_eq!(
-        a, b,
-        "timeline-bearing report must be byte-identical at 1 and 4 engine threads"
-    );
-    let tl = seq.timeline.expect("summary collected");
+    let tl = report.timeline.expect("summary collected");
     assert!(tl.reads > 0, "readers were observed");
     assert!(tl.ticks > 0, "sampler ticked");
     assert!(!tl.series.is_empty(), "providers were sampled");
@@ -79,7 +66,7 @@ fn timeline_report_and_spliced_trace_reparse() {
         .spans(true)
         .build()
         .expect("spec builds")
-        .run_with_engine(1)
+        .run()
         .expect("run");
     let parsed = Json::parse(&report.to_json()).expect("report JSON re-parses");
     let tl = parsed.get("timeline").expect("timeline block");
@@ -107,7 +94,7 @@ fn timeline_off_report_has_no_block() {
     let report = staggered(false)
         .build()
         .expect("spec builds")
-        .run_with_engine(4)
+        .run()
         .expect("run");
     assert!(report.timeline.is_none());
     assert!(

@@ -16,7 +16,7 @@
 //!
 //! Everything is deterministic: no wall clock, no unordered iteration,
 //! and the stores live per-host inside [`crate::Cluster`], i.e. inside
-//! one shard of the parallel engine.
+//! one world.
 
 use crate::fs::ObjectId;
 

@@ -587,7 +587,7 @@ mod tests {
 
     #[test]
     fn call_path_extraction() {
-        let src = "self.acct.add(t, c); CpuAccounting::add(a); world.take_outbox();";
+        let src = "self.acct.add(t, c); CpuAccounting::add(a); world.send_now();";
         let toks = code(src);
         let calls = call_paths(&toks);
         assert_eq!(calls.len(), 3);
@@ -595,7 +595,7 @@ mod tests {
         assert_eq!(calls[0].via, CallVia::Method);
         assert!(calls[1].ends_with(&["CpuAccounting", "add"]));
         assert_eq!(calls[1].via, CallVia::Path);
-        assert!(calls[2].ends_with(&["world", "take_outbox"]));
+        assert!(calls[2].ends_with(&["world", "send_now"]));
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //! timeline ([`World::start_timeline`](crate::World::start_timeline))
 //! schedules a tick at `now + sample_every`, and each tick re-schedules
 //! the next while the world still has work. Ticks therefore carry
-//! `(time, seq)` keys like every other event and replay identically at
-//! any `--engine-threads N` — the sharded engine (see [`crate::par`])
-//! runs the same protocol at every thread count, so each tick observes
-//! the same world state. There is no wall-clock, no background thread,
+//! `(time, seq)` keys like every other event and replay identically on
+//! every run, so each tick observes the same world state. There is no
+//! wall-clock, no background thread,
 //! and no sampling skew: a tick at `t` sees the world exactly as of the
 //! last event executed at or before `t`.
 //!
@@ -26,8 +25,7 @@
 //! Per-window latency lives in [`Hist`], a fixed log-bucket (HDR-style)
 //! histogram with **integer bucket counts**. Unlike a sorted `Vec<f64>`,
 //! element-wise `u64` addition is associative and commutative, so
-//! merging shard histograms in any grouping is bit-exact — the property
-//! the `--engine-threads` byte-identity gate rests on.
+//! merging histograms in any grouping is bit-exact.
 //!
 //! # Mutation discipline
 //!
@@ -89,7 +87,7 @@ fn bucket_high(idx: usize) -> u64 {
 ///
 /// Integer bucket counts make [`Hist::merge`] element-wise `u64`
 /// addition: associative, commutative, and therefore bit-exact however
-/// shard results are grouped (property-tested in `timeline_props`).
+/// partial results are grouped (property-tested in `timeline_props`).
 /// Quantiles are nearest-rank over the cumulative counts and return the
 /// bucket's highest contained value, so the reported p99 never
 /// under-states the true p99 and is off by at most 1/32 relative.
@@ -139,8 +137,8 @@ impl Hist {
     }
 
     /// Adds every bucket of `other` into `self`. Element-wise integer
-    /// addition — associative and commutative, so shard merge order
-    /// cannot change the result.
+    /// addition — associative and commutative, so merge order cannot
+    /// change the result.
     pub fn merge(&mut self, other: &Hist) {
         if other.counts.is_empty() {
             return;
@@ -369,10 +367,9 @@ impl Timeline {
         &self.run_hist
     }
 
-    /// Merges another shard's timeline into this one (barrier-side of a
-    /// partitioned run). Histograms add bucket-wise (order-independent);
-    /// series points interleave by time with ties keeping `self` first,
-    /// so merging shards in canonical shard order is deterministic.
+    /// Merges another timeline into this one. Histograms add bucket-wise
+    /// (order-independent); series points interleave by time with ties
+    /// keeping `self` first, so a fixed merge order is deterministic.
     pub fn merge(&mut self, other: &Timeline) {
         for (win, h) in &other.windows {
             self.windows.entry(*win).or_default().merge(h);
@@ -534,10 +531,8 @@ mod tests {
 
 /// Property tests of the histogram's merge algebra: element-wise
 /// integer addition must be associative and commutative, and recording
-/// a value stream split across any shard boundaries then merging must
-/// reproduce the single-shard histogram bit-exactly. This is the
-/// invariant that makes timeline reports independent of
-/// `--engine-threads`.
+/// a value stream split at any boundary then merging must
+/// reproduce the unsplit histogram bit-exactly.
 #[cfg(test)]
 mod timeline_props {
     use super::Hist;
