@@ -1,12 +1,10 @@
 //! Experiment driving helpers.
 //!
 //! Scenarios with background load (lookbusy) never run out of events, so
-//! harnesses can't just `run()` the world dry. The drive layer is
-//! event-driven: workloads signal a [`JobHandle`] when they finish and
-//! [`run_jobs`] / [`run_jobs_settled`] advance the world until every
-//! registered job completes (or a simulated-time cap fires). The legacy
-//! [`run_until_counter`] slice-poller is retained only for its own tests
-//! as a reference for what the job primitives replaced.
+//! harnesses can't just `run()` the world dry. The drive is event-driven:
+//! workloads signal a [`JobHandle`] when they finish and [`run_jobs`]
+//! advances the world until every registered job completes (or a
+//! simulated-time cap fires), stopping exactly at the completing event.
 
 use vread_sim::prelude::*;
 
@@ -15,33 +13,6 @@ use vread_sim::prelude::*;
 /// exactly at the last completing event.
 pub fn run_jobs(w: &mut World, cap: SimDuration) -> bool {
     w.run_jobs_for(cap)
-}
-
-/// Like [`run_jobs`], but advances the world in `align` slices and stops
-/// on the first slice boundary where every job has completed — the exact
-/// instant (and, crucially, the exact `run_until` call sequence) the
-/// legacy slice-polling driver produced.
-///
-/// Completion detection is still event-driven — elapsed times come from
-/// the job table's event-exact timestamps, so measurements carry no
-/// polling-granularity error. The slicing only affects where
-/// free-running background actors (lookbusy) stop accruing busy time and
-/// where partial CPU charges materialize; both must match the polling
-/// era for whole-world snapshots (reports, multi-pass experiment phase)
-/// to stay byte-identical. Stepping straight to the completion event and
-/// then settling is *not* equivalent: charging a running core in
-/// different chunks changes f64 rounding of its remaining cycles, which
-/// shifts work-end timers by nanoseconds and cascades under contention.
-pub fn run_jobs_settled(w: &mut World, cap: SimDuration, align: SimDuration) -> bool {
-    let deadline = w.now() + cap;
-    while w.jobs.pending() > 0 {
-        if w.now() >= deadline {
-            return false;
-        }
-        let next = (w.now() + align).min(deadline);
-        w.run_until(next);
-    }
-    true
 }
 
 /// Completes `job` after `delay` of simulated time — for
@@ -60,27 +31,6 @@ pub fn complete_job_after(w: &mut World, job: JobHandle, delay: SimDuration) {
     }
     let a = w.add_actor("job-deadline", Deadline { job });
     w.send_after(a, Start, delay);
-}
-
-/// Runs the world until metric counter `key` reaches `target`, advancing
-/// in `slice` steps, up to `cap` of simulated time. Returns `true` if the
-/// target was reached.
-pub fn run_until_counter(
-    w: &mut World,
-    key: &str,
-    target: f64,
-    slice: SimDuration,
-    cap: SimDuration,
-) -> bool {
-    let deadline = w.now() + cap;
-    while w.metrics.counter(key) < target {
-        if w.now() >= deadline {
-            return false;
-        }
-        let next = (w.now() + slice).min(deadline);
-        w.run_until(next);
-    }
-    true
 }
 
 /// Elapsed seconds between two timestamp samples recorded with
@@ -104,37 +54,6 @@ mod tests {
                 ctx.timer(Tick, SimDuration::from_millis(1));
             }
         }
-    }
-
-    #[test]
-    fn reaches_target() {
-        let mut w = World::new(1);
-        let a = w.add_actor("t", Ticker);
-        w.send_now(a, Start);
-        let ok = run_until_counter(
-            &mut w,
-            "ticks",
-            5.0,
-            SimDuration::from_millis(1),
-            SimDuration::from_secs(1),
-        );
-        assert!(ok);
-        assert!(w.metrics.counter("ticks") >= 5.0);
-    }
-
-    #[test]
-    fn caps_out() {
-        let mut w = World::new(1);
-        let a = w.add_actor("t", Ticker);
-        w.send_now(a, Start);
-        let ok = run_until_counter(
-            &mut w,
-            "never",
-            1.0,
-            SimDuration::from_millis(1),
-            SimDuration::from_millis(10),
-        );
-        assert!(!ok);
     }
 
     /// Completes a job after `ticks` 1 ms timer ticks, then keeps
@@ -186,22 +105,6 @@ mod tests {
         assert!(!run_jobs(&mut busy, cap));
         assert_eq!(busy.now(), SimTime::ZERO + cap);
         assert_eq!(busy.metrics.counter("ticks"), 6.0);
-    }
-
-    #[test]
-    fn run_jobs_settled_lands_on_the_legacy_polling_boundary() {
-        // completion at 6 ms, 4 ms slices → the slice poller stopped at
-        // 8 ms; the settled driver must land on the same instant.
-        let mut w = World::new(1);
-        let job = w.register_job("t");
-        let a = w.add_actor("t", JobTicker { job, ticks: 7 });
-        w.send_now(a, Start);
-        assert!(run_jobs_settled(
-            &mut w,
-            SimDuration::from_secs(1),
-            SimDuration::from_millis(4)
-        ));
-        assert_eq!(w.now(), SimTime::from_nanos(8_000_000));
     }
 
     #[test]

@@ -383,4 +383,36 @@ mod tests {
         assert_eq!(seq, par);
         assert_eq!(seq.len(), 3);
     }
+
+    #[test]
+    fn a_single_workload_takes_the_one_drive() {
+        // lookbusy never finishes, so its busy time shows exactly where
+        // the drive stopped; a single-workload report carries no
+        // per_workload block however it was reached.
+        let spec = ScenarioSpec::from_json(
+            r#"{
+                "seed": 7,
+                "path": "vread-rdma",
+                "hosts": [
+                    { "name": "host1", "cores": 4, "ghz": 2.0 },
+                    { "name": "host2", "cores": 4, "ghz": 2.0 }
+                ],
+                "vms": [
+                    { "name": "client", "host": "host1", "role": "client" },
+                    { "name": "dn1", "host": "host1", "role": "datanode" },
+                    { "name": "dn2", "host": "host2", "role": "datanode" },
+                    { "name": "bg1", "host": "host1", "role": "lookbusy", "busy": 0.85 },
+                    { "name": "bg2", "host": "host1", "role": "lookbusy", "busy": 0.85 }
+                ],
+                "files": [ { "path": "/data", "mb": 64, "placement": ["dn1", "dn2"] } ],
+                "workload": { "kind": "dfsio-read", "files": ["/data"], "buffer_kb": 1024 }
+            }"#,
+        )
+        .expect("spec parses");
+        let direct = spec.run().expect("run").to_json();
+        let partitioned = run_partitioned(&spec, 1).expect("run");
+        assert_eq!(partitioned.len(), 1);
+        assert_eq!(direct, partitioned[0].to_json());
+        assert!(!direct.contains("per_workload"));
+    }
 }

@@ -22,10 +22,11 @@
 //!
 //! A scenario may instead carry a `"workloads"` array where each entry
 //! adds `"client"` (the client VM it runs in, default the first client)
-//! and `"start_ms"` (launch offset, default 0); reports for such
-//! scenarios gain a `per_workload` block. The topology is resolved and
-//! deployed through [`crate::deploy::Deployment`], and workloads are
-//! driven by the event-driven job primitives (no time-slice polling).
+//! and `"start_ms"` (launch offset, default 0); reports for scenarios
+//! with two or more workloads gain a `per_workload` block. The topology
+//! is resolved and deployed through [`crate::deploy::Deployment`], and
+//! workloads are driven by the event-driven job primitives (no
+//! time-slice polling).
 //!
 //! Run with `repro scenario <file.json>`; the report (throughput, CPU,
 //! per-thread busy time) is printed and returned as JSON.
@@ -38,9 +39,9 @@ use crate::spans::SpanSummary;
 use crate::timeline::TimelineSummary;
 
 use vread_apps::dfsio::{DfsioConfig, DfsioMode, TestDfsio};
-use vread_apps::driver::{complete_job_after, run_jobs, run_jobs_settled};
+use vread_apps::driver::{complete_job_after, run_jobs};
 use vread_apps::java_reader::{JavaReader, ReaderMode};
-use vread_apps::netperf::{deploy_netperf, deploy_netperf_with_job};
+use vread_apps::netperf::deploy_netperf_with_job;
 use vread_hdfs::HdfsMeta;
 use vread_host::cluster::{Cluster, HostCacheMode, VmId};
 use vread_host::costs::Costs;
@@ -542,18 +543,11 @@ fn host_cache_from_json(j: &Json) -> Result<HostCacheSpec, SpecError> {
             }),
         }
     };
-    let spec = HostCacheSpec {
+    Ok(HostCacheSpec {
         mode,
         capacity_mb: opt("capacity_mb")?,
         chunk_kb: opt("chunk_kb")?,
-    };
-    if spec.capacity_mb == Some(0) {
-        return Err(parse_err("host_cache: \"capacity_mb\" must be positive"));
-    }
-    if spec.chunk_kb == Some(0) {
-        return Err(parse_err("host_cache: \"chunk_kb\" must be positive"));
-    }
-    Ok(spec)
+    })
 }
 
 /// Keys the `"timeline"` block understands (same strictness as the top
@@ -573,11 +567,9 @@ fn timeline_from_json(j: &Json) -> Result<TimelineSpec, SpecError> {
     } else {
         return Err(parse_err("scenario: field \"timeline\" must be an object"));
     }
-    let sample_ms = req_u64(j, "sample_ms", "timeline")?;
-    if sample_ms == 0 {
-        return Err(parse_err("timeline: \"sample_ms\" must be positive"));
-    }
-    Ok(TimelineSpec { sample_ms })
+    Ok(TimelineSpec {
+        sample_ms: req_u64(j, "sample_ms", "timeline")?,
+    })
 }
 
 /// Rejects duplicate host names, VM names or file paths — a duplicate
@@ -647,13 +639,15 @@ fn workload_from_json(w: &Json) -> Result<WorkloadSpec, SpecError> {
 }
 
 impl ScenarioSpec {
-    /// Parses a spec from JSON.
+    /// Parses a spec from JSON and validates it through
+    /// [`ScenarioBuilder::build`].
     ///
     /// # Errors
     ///
     /// Returns [`SpecError::Parse`] on malformed JSON, missing/mistyped
-    /// fields or unknown top-level keys, and [`SpecError::Invalid`] for
-    /// duplicate host/VM/file names.
+    /// fields or unknown top-level keys, and whatever
+    /// [`ScenarioBuilder::build`] reports for a well-formed but invalid
+    /// scenario.
     pub fn from_json(json: &str) -> Result<Self, SpecError> {
         let j = Json::parse(json).map_err(|e| parse_err(e.to_string()))?;
 
@@ -796,9 +790,7 @@ impl ScenarioSpec {
             Some(tl) => Some(timeline_from_json(tl)?),
         };
 
-        check_unique_names(&hosts, &vms, &files)?;
-
-        Ok(ScenarioSpec {
+        ScenarioBuilder {
             seed: opt_u64(&j, "seed", 42, "scenario")?,
             path,
             hosts,
@@ -809,7 +801,8 @@ impl ScenarioSpec {
             spans,
             host_cache,
             timeline,
-        })
+        }
+        .build()
     }
 
     /// Starts a [`ScenarioBuilder`] with the defaults (seed 42, vanilla
@@ -825,17 +818,12 @@ impl ScenarioSpec {
     /// Returns [`SpecError`] when names don't resolve or the combination
     /// is invalid (no client VM, unknown path, …).
     pub fn run(&self) -> Result<ScenarioReport, SpecError> {
-        match self.workloads.as_slice() {
-            [binding] => self.run_single(binding),
-            _ => self.run_multi().map(|(report, _)| report),
-        }
+        self.run_multi().map(|(report, _)| report)
     }
 
     /// Drives every workload concurrently (deploy → bind → arm →
-    /// `run_jobs` → aggregate), even when there is only one: partitioned
-    /// components come through here so a one-workload component keeps
-    /// the job-table measurements of the multi-workload scenario it was
-    /// split from. Returns the report and the number of events the world
+    /// `run_jobs` → aggregate); a single workload is the one-element
+    /// case. Returns the report and the number of events the world
     /// executed.
     pub(crate) fn run_multi(&self) -> Result<(ScenarioReport, u64), SpecError> {
         let mut d = self.deploy()?;
@@ -883,112 +871,6 @@ impl ScenarioSpec {
                 Ok((vm, name, b.clone()))
             })
             .collect()
-    }
-
-    /// Drives a single workload with the legacy measurement math (the
-    /// settled drive keeps whole-world accounting byte-identical to the
-    /// polling-era reports).
-    fn run_single(&self, binding: &WorkloadBinding) -> Result<ScenarioReport, SpecError> {
-        let mut d = self.deploy()?;
-        let client_vm = d.client_vm(binding.client.as_deref())?;
-        let client = d.add_client_on(client_vm);
-        d.start_background();
-        d.arm_faults(&self.faults)?;
-
-        let start_delay = SimDuration::from_millis(binding.start_ms);
-        let (elapsed_s, bytes, rate) = match &binding.kind {
-            WorkloadSpec::DfsioRead { files, buffer_kb } => {
-                let file_bytes = dfsio_read_size(&d.w, files)?;
-                let cfg = DfsioConfig {
-                    buffer_bytes: buffer_kb << 10,
-                    ..Default::default()
-                };
-                let job = d.w.register_job("dfsio");
-                let app = TestDfsio::new(
-                    client,
-                    client_vm,
-                    DfsioMode::Read,
-                    files.clone(),
-                    file_bytes,
-                    cfg,
-                )
-                .with_job(job);
-                let a = d.w.add_actor("dfsio", app);
-                launch(&mut d.w, a, start_delay);
-                if !run_jobs_settled(&mut d.w, DRIVE_CAP, SimDuration::from_millis(100)) {
-                    return Err(SpecError::Invalid("workload did not finish".to_owned()));
-                }
-                let secs =
-                    d.w.metrics.mean("dfsio_done_at_s") - d.w.metrics.mean("dfsio_start_at_s");
-                let b = d.w.metrics.counter("dfsio_bytes") as u64;
-                (secs, b, b as f64 / 1e6 / secs)
-            }
-            WorkloadSpec::DfsioWrite { files, mb } => {
-                let job = d.w.register_job("dfsio");
-                let app = TestDfsio::new(
-                    client,
-                    client_vm,
-                    DfsioMode::Write,
-                    files.clone(),
-                    mb << 20,
-                    DfsioConfig::default(),
-                )
-                .with_job(job);
-                let a = d.w.add_actor("dfsio", app);
-                launch(&mut d.w, a, start_delay);
-                if !run_jobs_settled(&mut d.w, DRIVE_CAP, SimDuration::from_millis(100)) {
-                    return Err(SpecError::Invalid("workload did not finish".to_owned()));
-                }
-                let secs =
-                    d.w.metrics.mean("dfsio_done_at_s") - d.w.metrics.mean("dfsio_start_at_s");
-                let b = d.w.metrics.counter("dfsio_bytes") as u64;
-                (secs, b, b as f64 / 1e6 / secs)
-            }
-            WorkloadSpec::Reader { path, request_kb } => {
-                let total = hdfs_file_size(&d.w, path)?;
-                let job = d.w.register_job("reader");
-                let rdr = JavaReader::new(
-                    client_vm,
-                    ReaderMode::Dfs {
-                        client,
-                        path: path.clone(),
-                    },
-                    request_kb << 10,
-                    total,
-                )
-                .with_job(job);
-                let a = d.w.add_actor("reader", rdr);
-                launch(&mut d.w, a, start_delay);
-                if !run_jobs_settled(&mut d.w, DRIVE_CAP, SimDuration::from_millis(50)) {
-                    return Err(SpecError::Invalid("workload did not finish".to_owned()));
-                }
-                let secs =
-                    d.w.metrics.mean("reader_done_at_s") - d.w.metrics.mean("reader_start_at_s");
-                (secs, total, total as f64 / 1e6 / secs)
-            }
-            WorkloadSpec::Netperf {
-                request_kb,
-                duration_ms,
-            } => {
-                let server_vm = d.datanode_vms[0].1;
-                let measure_from = d.w.now() + start_delay;
-                let np = deploy_netperf(
-                    &mut d.w,
-                    client_vm,
-                    server_vm,
-                    request_kb << 10,
-                    measure_from,
-                );
-                launch(&mut d.w, np, start_delay);
-                let dur = SimDuration::from_millis(*duration_ms);
-                let t = d.w.now() + start_delay + dur;
-                d.w.run_until(t);
-                let txns = d.w.metrics.counter("netperf_txns");
-                (dur.as_secs_f64(), 0, txns / dur.as_secs_f64())
-            }
-        };
-
-        Ok(self.finish_report(&mut d, elapsed_s, bytes, rate, Vec::new()))
     }
 
     /// Arms the workloads to run concurrently: every job registers a
@@ -1100,8 +982,8 @@ impl ScenarioSpec {
         Ok(armed)
     }
 
-    /// Aggregates a finished multi-workload run from the job table
-    /// (per-job figures land in `per_workload`).
+    /// Aggregates a finished run from the job table (with two or more
+    /// workloads, per-job figures land in `per_workload`).
     fn aggregate_multi(
         &self,
         d: &mut Deployment,
@@ -1150,6 +1032,9 @@ impl ScenarioSpec {
             total_ops as f64 / elapsed_s
         };
 
+        if armed.len() < 2 {
+            per_workload.clear();
+        }
         Ok(self.finish_report(d, elapsed_s, total_bytes, rate, per_workload))
     }
 
@@ -1614,8 +1499,10 @@ mod tests {
     #[test]
     fn unresolved_references_error() {
         let bad = SPEC.replace("\"host\": \"h1\"", "\"host\": \"nope\"");
-        let spec = ScenarioSpec::from_json(&bad).unwrap();
-        assert!(matches!(spec.run(), Err(SpecError::Unresolved(_))));
+        assert!(matches!(
+            ScenarioSpec::from_json(&bad),
+            Err(SpecError::Unresolved(_))
+        ));
     }
 
     #[test]
@@ -1953,11 +1840,11 @@ mod tests {
             ScenarioSpec::from_json(&bad),
             Err(SpecError::Parse(_))
         ));
-        // zero sizes are rejected
+        // zero sizes are rejected (by the builder's validation)
         for zeroed in [with.replace("256", "0"), with.replace("64", "0")] {
             assert!(matches!(
                 ScenarioSpec::from_json(&zeroed),
-                Err(SpecError::Parse(_))
+                Err(SpecError::Invalid(_))
             ));
         }
         // the block must be an object
@@ -2007,11 +1894,11 @@ mod tests {
             SpecError::Parse(msg) => assert!(msg.contains("sample_sm"), "{msg}"),
             other => panic!("expected parse error, got {other:?}"),
         }
-        // a zero period is rejected
+        // a zero period is rejected (by the builder's validation)
         let bad = with.replace("20", "0");
         assert!(matches!(
             ScenarioSpec::from_json(&bad),
-            Err(SpecError::Parse(_))
+            Err(SpecError::Invalid(_))
         ));
         // the block must be an object
         let bad = with.replace("{ \"sample_ms\": 20 }", "20");
@@ -2019,7 +1906,7 @@ mod tests {
             ScenarioSpec::from_json(&bad),
             Err(SpecError::Parse(_))
         ));
-        // the builder applies the same zero check
+        // built directly, the same spec is rejected the same way
         assert!(matches!(
             ScenarioSpec::builder().timeline_sample_ms(0).build(),
             Err(SpecError::Invalid(_))
