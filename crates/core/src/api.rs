@@ -14,9 +14,8 @@
 //! these calls lives in [`crate::daemon`]; [`crate::path::VreadPath`]
 //! drives it from the HDFS client.
 
-use std::collections::HashMap;
-
 use vread_hdfs::meta::{BlockId, DatanodeIx};
+use vread_sim::fxhash::FxHashMap;
 
 /// An open vRead descriptor: the client-side handle to a block file
 /// opened through the hypervisor daemon.
@@ -63,7 +62,7 @@ impl Vfd {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VfdTable {
-    map: HashMap<BlockId, Vfd>,
+    map: FxHashMap<BlockId, Vfd>,
 }
 
 impl VfdTable {

@@ -10,10 +10,9 @@
 //! that replaces `read_buffer`/`fetchBlocks` with `vRead_read` and falls
 //! back to vanilla when no descriptor can be opened.
 
-use std::collections::{HashMap, HashSet};
-
 use vread_host::cluster::{with_cluster, Cluster, VmId};
 use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSpec, Endpoint, Flavor, Side};
+use vread_sim::fxhash::{FxHashMap, FxHashSet};
 use vread_sim::prelude::*;
 
 use crate::datanode::{DnReadReq, DnWriteChunk};
@@ -213,12 +212,12 @@ struct VStream {
 /// The unmodified HDFS read path of Figure 1.
 #[derive(Default)]
 pub struct VanillaPath {
-    conns: HashMap<usize, ActorId>,
-    streams: HashMap<u64, VStream>,
+    conns: FxHashMap<usize, ActorId>,
+    streams: FxHashMap<u64, VStream>,
     /// Sequential-stream positions per `(datanode, block)`: a fetch that
     /// continues where the previous one ended rides the existing
     /// DataXceiver stream (read1); anything else pays stream setup.
-    positions: HashMap<(usize, u64), u64>,
+    positions: FxHashMap<(usize, u64), u64>,
 }
 
 impl VanillaPath {
@@ -393,7 +392,10 @@ struct ReadReq {
     started: SimTime,
 }
 
-/// Internal watchdog for a block fetch.
+/// Internal watchdog for a block fetch. Armed per fetch with the one
+/// configured timeout and nearly always stale by the time it fires, so
+/// it rides a fixed-delay lane ([`Ctx::fixed_timer`]) instead of the
+/// event heap.
 struct FetchTimeout {
     rid: u64,
     token: u64,
@@ -447,17 +449,17 @@ pub struct DfsClient {
     vm: VmId,
     path_impl: Box<dyn BlockReadPath>,
     next_id: u64,
-    loc_cache: HashMap<String, Vec<LocatedBlock>>,
-    reads: HashMap<u64, ReadReq>,
+    loc_cache: FxHashMap<String, Vec<LocatedBlock>>,
+    reads: FxHashMap<u64, ReadReq>,
     tokens: std::collections::BTreeMap<u64, u64>,
-    nn_tokens: HashMap<u64, u64>,
-    writes: HashMap<u64, WriteReq>,
-    write_tags: HashMap<u64, u64>,
-    write_conns: HashMap<usize, ActorId>,
+    nn_tokens: FxHashMap<u64, u64>,
+    writes: FxHashMap<u64, WriteReq>,
+    write_tags: FxHashMap<u64, u64>,
+    write_conns: FxHashMap<usize, ActorId>,
     /// Datanodes that timed out on us (crashed or unreachable). Replica
     /// selection avoids them while any alternative exists, but still
     /// retries them as a last resort — never silently dropping data.
-    dead_nodes: HashSet<usize>,
+    dead_nodes: FxHashSet<usize>,
     m_bytes_read: LazyCounter,
     /// Level gauge of in-flight `DfsRead` requests (timeline source).
     m_outstanding: LazyGauge,
@@ -471,14 +473,14 @@ pub fn add_client(w: &mut World, vm: VmId, path_impl: Box<dyn BlockReadPath>) ->
             vm,
             path_impl,
             next_id: 0,
-            loc_cache: HashMap::new(),
-            reads: HashMap::new(),
+            loc_cache: FxHashMap::default(),
+            reads: FxHashMap::default(),
             tokens: std::collections::BTreeMap::new(),
-            nn_tokens: HashMap::new(),
-            writes: HashMap::new(),
-            write_tags: HashMap::new(),
-            write_conns: HashMap::new(),
-            dead_nodes: HashSet::new(),
+            nn_tokens: FxHashMap::default(),
+            writes: FxHashMap::default(),
+            write_tags: FxHashMap::default(),
+            write_conns: FxHashMap::default(),
+            dead_nodes: FxHashSet::default(),
             m_bytes_read: LazyCounter::new("hdfs_bytes_read"),
             m_outstanding: LazyGauge::new("hdfs.outstanding_reads"),
         },
@@ -601,7 +603,7 @@ impl DfsClient {
                     let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
                     cl.costs.client_read_timeout_ms
                 };
-                ctx.timer(
+                ctx.fixed_timer(
                     FetchTimeout {
                         rid,
                         token,
@@ -1073,7 +1075,7 @@ impl Actor for DfsClient {
                         let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
                         cl.costs.client_read_timeout_ms
                     };
-                    ctx.timer(
+                    ctx.fixed_timer(
                         FetchTimeout {
                             rid: t.rid,
                             token: t.token,

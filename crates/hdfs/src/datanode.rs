@@ -9,11 +9,12 @@
 //! performs it in a real KVM host, which is what makes the CPU breakdowns
 //! of Figure 6 and the 4-VM scheduling collapse of Figure 9 reproducible.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use vread_host::cluster::{with_cluster, Cluster, VmId};
 use vread_host::virtio::{guest_disk_read, guest_disk_write};
 use vread_net::conn::{ConnRecv, ConnSend, ConnSent, Side};
+use vread_sim::fxhash::FxHashMap;
 use vread_sim::prelude::*;
 
 use crate::meta::{BlockId, DatanodeIx, HdfsMeta};
@@ -96,13 +97,13 @@ struct ChunkWritten {
 pub struct Datanode {
     ix: DatanodeIx,
     vm: VmId,
-    pending_reads: HashMap<(u32, u64), DnReadReq>,
-    reads: HashMap<(u32, u64), ReadStream>,
-    writes: HashMap<(u32, u64), WriteStream>,
+    pending_reads: FxHashMap<(u32, u64), DnReadReq>,
+    reads: FxHashMap<(u32, u64), ReadStream>,
+    writes: FxHashMap<(u32, u64), WriteStream>,
     /// Cached pipeline connections to downstream datanodes.
-    fwd_conns: HashMap<usize, ActorId>,
+    fwd_conns: FxHashMap<usize, ActorId>,
     /// Forward-stream tags: (upstream conn, upstream tag) -> downstream tag.
-    fwd_tags: HashMap<(u32, u64), u64>,
+    fwd_tags: FxHashMap<(u32, u64), u64>,
     next_tag: u64,
 }
 
@@ -123,11 +124,11 @@ pub fn add_datanode(w: &mut World, vm: VmId) -> (ActorId, DatanodeIx) {
         Datanode {
             ix,
             vm,
-            pending_reads: HashMap::new(),
-            reads: HashMap::new(),
-            writes: HashMap::new(),
-            fwd_conns: HashMap::new(),
-            fwd_tags: HashMap::new(),
+            pending_reads: FxHashMap::default(),
+            reads: FxHashMap::default(),
+            writes: FxHashMap::default(),
+            fwd_conns: FxHashMap::default(),
+            fwd_tags: FxHashMap::default(),
             next_tag: 0,
         },
     );

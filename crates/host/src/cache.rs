@@ -13,14 +13,33 @@
 //! [`PageCache`] is the [`BlockStore`] used by every guest and, in the
 //! default `lru` host-cache mode, by hosts; the content-addressed
 //! alternative is [`crate::cas::CasStore`].
+//!
+//! Every simulated read touches at least one chunk, so each operation
+//! is O(1): a Fx-hashed map from chunk to a node of an intrusive,
+//! doubly linked recency list kept in a slab (least recently used at
+//! the head). A hit is one hash probe plus a relink; an eviction pops
+//! the head. The order is exactly "least recently touched first", so
+//! the victims are fully determined by the access sequence.
 
-use std::collections::{BTreeMap, HashMap};
+use vread_sim::fxhash::FxHashMap;
 
 use crate::fs::ObjectId;
 use crate::store::{Admission, BlockStore, CacheStats, Lookup};
 
 /// Key of one cached chunk: `(object, chunk index)`.
 type ChunkKey = (u64, u64);
+
+/// End-of-list marker for [`Node`] links.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot of the recency list. A free slot is chained to the
+/// next free one through `next`.
+#[derive(Debug, Clone)]
+struct Node {
+    key: ChunkKey,
+    prev: u32,
+    next: u32,
+}
 
 /// An LRU page cache with byte capacity.
 ///
@@ -40,11 +59,16 @@ pub struct PageCache {
     capacity: u64,
     chunk: u64,
     used: u64,
-    tick: u64,
-    /// chunk -> last-use tick
-    map: HashMap<ChunkKey, u64>,
-    /// last-use tick -> chunk (ticks are unique)
-    order: BTreeMap<u64, ChunkKey>,
+    /// chunk -> its slot in `nodes`
+    map: FxHashMap<ChunkKey, u32>,
+    /// Slab of recency-list nodes (live and free).
+    nodes: Vec<Node>,
+    /// Least recently used live node, or [`NIL`].
+    head: u32,
+    /// Most recently used live node, or [`NIL`].
+    tail: u32,
+    /// First free slab slot, or [`NIL`].
+    free: u32,
     stats: CacheStats,
 }
 
@@ -62,9 +86,11 @@ impl PageCache {
             capacity,
             chunk,
             used: 0,
-            tick: 0,
-            map: HashMap::new(),
-            order: BTreeMap::new(),
+            map: FxHashMap::default(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
             stats: CacheStats::default(),
         }
     }
@@ -78,24 +104,72 @@ impl PageCache {
         first..last + 1
     }
 
-    fn touch(&mut self, key: ChunkKey) {
-        let old = self.map[&key];
-        self.order.remove(&old);
-        self.tick += 1;
-        self.map.insert(key, self.tick);
-        self.order.insert(self.tick, key);
+    /// Detaches live node `i` from the recency list.
+    fn unlink(&mut self, i: u32) {
+        let Node { prev, next, .. } = self.nodes[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Appends detached node `i` as the most recently used.
+    fn push_mru(&mut self, i: u32) {
+        self.nodes[i as usize].prev = self.tail;
+        self.nodes[i as usize].next = NIL;
+        match self.tail {
+            NIL => self.head = i,
+            t => self.nodes[t as usize].next = i,
+        }
+        self.tail = i;
+    }
+
+    /// Marks node `i` most recently used.
+    fn touch(&mut self, i: u32) {
+        if self.tail != i {
+            self.unlink(i);
+            self.push_mru(i);
+        }
+    }
+
+    /// Drops live node `i`: list, map, slab and byte count.
+    fn remove_node(&mut self, i: u32) {
+        self.unlink(i);
+        let key = self.nodes[i as usize].key;
+        self.map.remove(&key).expect("list/map out of sync");
+        self.nodes[i as usize].next = self.free;
+        self.free = i;
+        self.used -= self.chunk;
     }
 
     fn insert_chunk(&mut self, key: ChunkKey) {
         while self.used + self.chunk > self.capacity {
-            let (&tick, &victim) = self.order.iter().next().expect("cache over-full but empty");
-            self.order.remove(&tick);
-            self.map.remove(&victim);
-            self.used -= self.chunk;
+            assert_ne!(self.head, NIL, "cache over-full but empty");
+            self.remove_node(self.head);
         }
-        self.tick += 1;
-        self.map.insert(key, self.tick);
-        self.order.insert(self.tick, key);
+        let node = Node {
+            key,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = match self.free {
+            NIL => {
+                let i = self.nodes.len().try_into().expect("chunk slab fits u32");
+                self.nodes.push(node);
+                i
+            }
+            f => {
+                self.free = self.nodes[f as usize].next;
+                self.nodes[f as usize] = node;
+                f
+            }
+        };
+        self.push_mru(i);
+        self.map.insert(key, i);
         self.used += self.chunk;
     }
 }
@@ -108,9 +182,8 @@ impl BlockStore for PageCache {
     fn lookup(&mut self, obj: ObjectId, offset: u64, len: u64) -> Lookup {
         let mut out = Lookup::default();
         for ci in self.chunks_of(offset, len) {
-            let key = (obj.raw(), ci);
-            if self.map.contains_key(&key) {
-                self.touch(key);
+            if let Some(&i) = self.map.get(&(obj.raw(), ci)) {
+                self.touch(i);
                 self.stats.hits += 1;
                 out.hit_bytes += self.chunk;
             } else {
@@ -132,8 +205,8 @@ impl BlockStore for PageCache {
         let mut any_miss = false;
         for ci in self.chunks_of(offset, len) {
             let key = (obj.raw(), ci);
-            if self.map.contains_key(&key) {
-                self.touch(key);
+            if let Some(&i) = self.map.get(&key) {
+                self.touch(i);
             } else {
                 any_miss = true;
                 self.insert_chunk(key);
@@ -148,38 +221,32 @@ impl BlockStore for PageCache {
 
     fn evict_to_fit(&mut self, bytes: u64) {
         let budget = self.capacity.saturating_sub(bytes);
-        while self.used > budget {
-            let Some((&tick, &victim)) = self.order.iter().next() else {
-                return;
-            };
-            self.order.remove(&tick);
-            self.map.remove(&victim);
-            self.used -= self.chunk;
+        while self.used > budget && self.head != NIL {
+            self.remove_node(self.head);
         }
     }
 
     /// Drops every cached chunk of `obj` (e.g. `fadvise DONTNEED`).
     ///
-    /// Walks the ordered LRU index rather than the hash map so the
-    /// drop order is deterministic (and lint-clean by construction).
+    /// Walks the recency list from LRU to MRU rather than the hash map,
+    /// so the drop order is deterministic (and lint-clean by
+    /// construction).
     fn evict_object(&mut self, obj: ObjectId) {
-        let victims: Vec<(u64, ChunkKey)> = self
-            .order
-            .iter()
-            .filter(|(_, k)| k.0 == obj.raw())
-            .map(|(&tick, &k)| (tick, k))
-            .collect();
-        for (tick, k) in victims {
-            self.order.remove(&tick);
-            self.map.remove(&k).expect("order/map out of sync");
-            self.used -= self.chunk;
+        let mut i = self.head;
+        while i != NIL {
+            let Node { key, next, .. } = self.nodes[i as usize];
+            if key.0 == obj.raw() {
+                self.remove_node(i);
+            }
+            i = next;
         }
     }
 
     /// Empties the cache (the paper's `drop_caches` between runs).
     fn clear(&mut self) {
         self.map.clear();
-        self.order.clear();
+        self.nodes.clear();
+        (self.head, self.tail, self.free) = (NIL, NIL, NIL);
         self.used = 0;
     }
 
@@ -268,12 +335,11 @@ mod tests {
         assert_eq!(c.used_bytes(), 3 * 4096);
     }
 
-    /// Regression test pinning eviction order exactly: ticks are unique
-    /// (the tick counter increments on every touch/insert), so LRU ties
-    /// are impossible by construction and the eviction sequence is fully
-    /// determined by the access sequence. If `insert_range`-era tie
-    /// behavior ever resurfaces (multiple chunks sharing a tick, order
-    /// then depending on BTreeMap key layout), this test fails.
+    /// Regression test pinning eviction order exactly: every touch or
+    /// insert moves one chunk to the MRU end, so LRU ties are impossible
+    /// by construction and the eviction sequence is fully determined by
+    /// the access sequence. If chunks admitted in one call ever entered
+    /// the list out of offset order, this test fails.
     #[test]
     fn eviction_order_is_pinned_by_unique_ticks() {
         let mut c = PageCache::new(4 * 4096, 4096);

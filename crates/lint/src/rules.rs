@@ -40,9 +40,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "unordered-iter",
-        summary: "iteration over HashMap/HashSet-typed state observes RandomState \
-                  order; use BTreeMap/BTreeSet or a sorted drain, or justify why \
-                  order cannot escape.",
+        summary: "iteration over HashMap/HashSet/FxHashMap/FxHashSet-typed state \
+                  observes hash order; use BTreeMap/BTreeSet or a sorted drain, or \
+                  justify why order cannot escape.",
     },
     RuleInfo {
         id: "ambient-entropy",

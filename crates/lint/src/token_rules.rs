@@ -77,9 +77,18 @@ const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
+/// Hash-ordered collection types: std's, and the seedless Fx aliases
+/// of `vread_sim::fxhash`, whose iteration order is just as arbitrary.
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
+
+fn is_hash_type(t: &Tok<'_>) -> bool {
+    t.kind == TokKind::Ident && HASH_TYPES.contains(&t.text)
+}
+
 /// Collects identifiers that this file declares (or ascribes) with a
-/// `HashMap`/`HashSet` type: struct fields, `let` bindings with type
-/// ascriptions, and `let x = HashMap::new()`-style initializers.
+/// hash-ordered type (see [`HASH_TYPES`]): struct fields, `let` bindings
+/// with type ascriptions, and `let x = HashMap::new()`-style
+/// initializers.
 fn hash_named(code: &[Tok<'_>]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for i in 0..code.len() {
@@ -109,7 +118,7 @@ fn hash_named(code: &[Tok<'_>]) -> BTreeSet<String> {
                     depth += 1;
                 } else if u.is_punct('>') || u.is_punct(')') || u.is_punct(']') {
                     depth -= 1;
-                } else if u.is_ident("HashMap") || u.is_ident("HashSet") {
+                } else if is_hash_type(u) {
                     names.insert(t.text.to_owned());
                     break;
                 }
@@ -128,7 +137,7 @@ fn hash_named(code: &[Tok<'_>]) -> BTreeSet<String> {
                 if u.is_punct(';') {
                     break;
                 }
-                if u.is_ident("HashMap") || u.is_ident("HashSet") {
+                if is_hash_type(u) {
                     names.insert(name.text.to_owned());
                     break;
                 }
@@ -159,7 +168,7 @@ fn unordered_iter(code: &[Tok<'_>], out: &mut Vec<Candidate>) {
                         "unordered-iter",
                         t,
                         format!(
-                            "`{}.{}()` iterates a HashMap/HashSet in RandomState order; \
+                            "`{}.{}()` iterates a hash map/set in hash order; \
                              use BTreeMap/BTreeSet or drain through a sorted buffer",
                             t.text, m.text
                         ),
@@ -216,8 +225,8 @@ fn unordered_iter(code: &[Tok<'_>], out: &mut Vec<Candidate>) {
                         "unordered-iter",
                         x,
                         format!(
-                            "`for … in {}` iterates a HashMap/HashSet in RandomState \
-                             order; use BTreeMap/BTreeSet or drain through a sorted buffer",
+                            "`for … in {}` iterates a hash map/set in hash order; \
+                             use BTreeMap/BTreeSet or drain through a sorted buffer",
                             x.text
                         ),
                     ));

@@ -59,6 +59,8 @@ fn wall_clock_fixtures() {
 fn unordered_iter_fixtures() {
     check("unordered_iter_pos.rs", "crates/core/src/fixture.rs");
     check("unordered_iter_neg.rs", "crates/core/src/fixture.rs");
+    check("unordered_iter_fx_pos.rs", "crates/core/src/fixture.rs");
+    check("unordered_iter_fx_neg.rs", "crates/core/src/fixture.rs");
 }
 
 #[test]

@@ -8,8 +8,10 @@
 //!
 //! # Hot-path layout
 //!
-//! Three structures carry nearly all of the run-loop cost, and each is
-//! shaped to avoid per-event work:
+//! A handful of structures carry nearly all of the run-loop cost, and
+//! each is shaped to avoid per-event work. Every event source is keyed
+//! by the same `(time, seq)` pair, and [`World::step`] pops the smallest
+//! front among them, so the split changes host cost, never order:
 //!
 //! * **Same-time fast lane** — events scheduled for the current instant
 //!   (`send_now`, zero delays) go to a FIFO ring buffer instead of the
@@ -17,6 +19,16 @@
 //!   anything pushed "at now" sorts after every pending same-time heap
 //!   entry, so FIFO order *is* `(time, seq)` order; RPC-style message
 //!   ping-pong never touches the `BinaryHeap` at all.
+//! * **Fixed-delay lanes** — [`World::send_after_fixed`] (and
+//!   [`Ctx::fixed_timer`]) queue an event in a per-delay FIFO. With one
+//!   delay and a monotone clock, `now + delay` never decreases, so each
+//!   lane is sorted by construction and its front is its minimum.
+//!   Watchdogs that are armed per request and almost always outlive it
+//!   (the HDFS client's fetch timeout) stay out of the heap that way.
+//! * **Core-timer table** — each core has one timer slot (see
+//!   `CoreTimerSlot`); the world caches the earliest armed slot, so
+//!   [`World::next_event_time`] is O(1) and only a timer pop, or a
+//!   re-arm of the slot holding the minimum, rescans the table.
 //! * **Chain slab** — in-flight chains live in a free-list slab indexed
 //!   directly by [`ChainId`] (generation-tagged against stale resumes)
 //!   rather than a hash map; see [`crate::slab`].
@@ -24,6 +36,9 @@
 //!   chain resumes) are plain enum variants, and a boxed zero-sized
 //!   completion message does not allocate, so steady-state event traffic
 //!   is allocation-free.
+//!
+//! The per-read maps of the layers above, and [`Extensions`] itself,
+//! hash through [`crate::fxhash`] rather than SipHash.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -114,6 +129,22 @@ struct CoreTimerSlot {
     armed: Option<(SimTime, u64, u64)>,
 }
 
+/// The events sent with one fixed delay, in `(time, seq)` order (see
+/// [`World::send_after_fixed`]).
+struct FixedLane {
+    delay: SimDuration,
+    queue: VecDeque<(SimTime, u64, EvKind)>,
+}
+
+/// Which event source holds the next event (see [`World::pop_event`]).
+#[derive(Clone, Copy)]
+enum Source {
+    Now,
+    Heap,
+    Timer(usize),
+    Lane(usize),
+}
+
 /// The simulation world. See the crate docs for an end-to-end example.
 pub struct World {
     now: SimTime,
@@ -131,8 +162,11 @@ pub struct World {
     heap: BinaryHeap<HeapEv>,
     /// One slot per core across all hosts (see [`CoreTimerSlot`]).
     core_timers: Vec<CoreTimerSlot>,
-    /// Number of currently armed `core_timers` slots.
-    armed_timers: usize,
+    /// The earliest armed `core_timers` slot as `(time, seq, slot)`.
+    /// Invariant: equals `World::scan_timers`.
+    timer_min: Option<(SimTime, u64, usize)>,
+    /// One FIFO per distinct delay passed to `send_after_fixed`.
+    lanes: Vec<FixedLane>,
     actors: Vec<ActorSlot>,
     pub(crate) sched: Sched,
     chains: ChainSlab,
@@ -166,13 +200,7 @@ impl std::fmt::Debug for World {
         f.debug_struct("World")
             .field("now", &self.now)
             .field("actors", &self.actors.len())
-            .field(
-                "pending_events",
-                &(self.heap.len()
-                    + self.fifo.len()
-                    + usize::from(self.next_now.is_some())
-                    + self.armed_timers),
-            )
+            .field("pending_events", &self.pending_events())
             .field("events_processed", &self.events_processed)
             .finish()
     }
@@ -191,7 +219,8 @@ impl World {
             fifo: VecDeque::new(),
             heap: BinaryHeap::new(),
             core_timers: Vec::new(),
-            armed_timers: 0,
+            timer_min: None,
+            lanes: Vec::new(),
             actors: Vec::new(),
             sched: Sched::default(),
             chains: ChainSlab::new(),
@@ -216,6 +245,20 @@ impl World {
     /// Total events processed so far (diagnostics).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Events still queued (diagnostics): the same-time fast lane, the
+    /// heap, the fixed-delay lanes and the armed core timers.
+    pub fn pending_events(&self) -> usize {
+        usize::from(self.next_now.is_some())
+            + self.fifo.len()
+            + self.heap.len()
+            + self.lanes.iter().map(|l| l.queue.len()).sum::<usize>()
+            + self
+                .core_timers
+                .iter()
+                .filter(|s| s.armed.is_some())
+                .count()
     }
 
     // -- construction -------------------------------------------------------
@@ -349,6 +392,36 @@ impl World {
         );
     }
 
+    /// Delivers `msg` to `to` after `delay`, exactly as
+    /// [`World::send_after`] does (same time, same place in the order),
+    /// but through a FIFO lane kept for this `delay` instead of the heap.
+    /// Meant for a few constant delays used at a high rate, such as
+    /// per-request watchdogs; each distinct delay adds a lane that every
+    /// pop inspects.
+    pub fn send_after_fixed<M: Send + 'static>(&mut self, to: ActorId, msg: M, delay: SimDuration) {
+        let kind = EvKind::Deliver {
+            to,
+            msg: Box::new(msg),
+        };
+        let t = self.now + delay;
+        if t == self.now {
+            self.push_now(kind);
+            return;
+        }
+        self.seq += 1;
+        let lane = match self.lanes.iter().position(|l| l.delay == delay) {
+            Some(i) => i,
+            None => {
+                self.lanes.push(FixedLane {
+                    delay,
+                    queue: VecDeque::new(),
+                });
+                self.lanes.len() - 1
+            }
+        };
+        self.lanes[lane].queue.push_back((t, self.seq, kind));
+    }
+
     fn push_event(&mut self, t: SimTime, kind: EvKind) {
         debug_assert!(t >= self.now, "event scheduled in the past");
         if t == self.now {
@@ -368,15 +441,18 @@ impl World {
     pub(crate) fn push_core_timer(&mut self, t: SimTime, host: HostId, core: usize, gen: u64) {
         let slot = self.sched.hosts[host.index()].core_base + core;
         self.seq += 1;
-        let s = &mut self.core_timers[slot];
-        if s.armed.is_none() {
-            self.armed_timers += 1;
+        self.core_timers[slot].armed = Some((t, self.seq, gen));
+        match self.timer_min {
+            // Overwrote the minimum: it may have moved later.
+            Some((_, _, m)) if m == slot => self.timer_min = self.scan_timers(),
+            Some((mt, ms, _)) if (mt, ms) < (t, self.seq) => {}
+            _ => self.timer_min = Some((t, self.seq, slot)),
         }
-        s.armed = Some((t, self.seq, gen));
     }
 
-    /// Earliest armed core timer as `(time, seq, slot)`, if any.
-    fn min_timer(&self) -> Option<(SimTime, u64, usize)> {
+    /// Earliest armed core timer as `(time, seq, slot)`, if any, by a
+    /// full scan of the table.
+    fn scan_timers(&self) -> Option<(SimTime, u64, usize)> {
         let mut best: Option<(SimTime, u64, usize)> = None;
         for (i, s) in self.core_timers.iter().enumerate() {
             if let Some((t, seq, _)) = s.armed {
@@ -509,64 +585,74 @@ impl World {
     /// Time of the next pending event, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
         // Fast-lane entries are always at `now`, earlier than (or tied
-        // with) anything in the heap or the timer table.
+        // with) anything in the heap, the lanes or the timer table.
         if self.next_now.is_some() {
             return Some(self.now);
         }
-        let heap = self.heap.peek().map(|ev| ev.t);
-        if self.armed_timers == 0 {
-            return heap;
+        let mut best = self.heap.peek().map(|ev| ev.t);
+        let timer = self.timer_min.map(|(t, _, _)| t);
+        let lanes = self
+            .lanes
+            .iter()
+            .filter_map(|l| l.queue.front().map(|e| e.0));
+        for t in timer.into_iter().chain(lanes) {
+            if best.is_none_or(|b| t < b) {
+                best = Some(t);
+            }
         }
-        let timer = self.min_timer().map(|(t, _, _)| t);
-        match (heap, timer) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        best
     }
 
     /// Pops the globally next event in `(time, seq)` order, returning its
     /// time and payload. Fast-lane entries are implicitly at `now`.
     fn pop_event(&mut self) -> Option<(SimTime, EvKind)> {
-        // Candidate from each queue, all ordered by the same `(t, seq)`
+        debug_assert_eq!(self.timer_min, self.scan_timers(), "stale timer minimum");
+        // Candidate from each source, all ordered by the same `(t, seq)`
         // key. The heap may still hold same-time events pushed before
         // time advanced to `now`, whose seq is necessarily smaller than
         // any fast-lane entry — they go first.
-        let mut best = self.next_now.as_ref().map(|(fseq, _)| (self.now, *fseq));
-        let mut src = u8::from(best.is_some()); // 0 = none, 1 = fast lane
+        let mut best = None;
+        let mut offer = |key: (SimTime, u64), from: Source| {
+            if best.is_none_or(|(b, _)| key < b) {
+                best = Some((key, from));
+            }
+        };
+        if let Some((fseq, _)) = &self.next_now {
+            offer((self.now, *fseq), Source::Now);
+        }
         if let Some(h) = self.heap.peek() {
-            if best.is_none_or(|b| (h.t, h.seq) < b) {
-                best = Some((h.t, h.seq));
-                src = 2;
+            offer((h.t, h.seq), Source::Heap);
+        }
+        if let Some((t, seq, slot)) = self.timer_min {
+            offer((t, seq), Source::Timer(slot));
+        }
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(&(t, seq, _)) = lane.queue.front() {
+                offer((t, seq), Source::Lane(i));
             }
         }
-        let mut slot = 0usize;
-        if self.armed_timers > 0 {
-            if let Some((t, seq, i)) = self.min_timer() {
-                if best.is_none_or(|b| (t, seq) < b) {
-                    src = 3;
-                    slot = i;
-                }
-            }
-        }
-        match src {
-            1 => {
+        match best?.1 {
+            Source::Now => {
                 let (_, kind) = self.next_now.take().expect("fronted");
                 // Promote the next fast-lane entry into the front slot.
                 self.next_now = self.fifo.pop_front();
                 Some((self.now, kind))
             }
-            2 => {
+            Source::Heap => {
                 let ev = self.heap.pop().expect("peeked");
                 Some((ev.t, ev.kind))
             }
-            3 => {
+            Source::Timer(slot) => {
                 let s = &mut self.core_timers[slot];
-                let (t, _, gen) = s.armed.take().expect("scanned");
-                self.armed_timers -= 1;
+                let (t, _, gen) = s.armed.take().expect("cached minimum is armed");
                 let (host, core) = (s.host, s.core as usize);
+                self.timer_min = self.scan_timers();
                 Some((t, EvKind::CoreTimer { host, core, gen }))
             }
-            _ => None,
+            Source::Lane(i) => {
+                let (t, _, kind) = self.lanes[i].queue.pop_front().expect("fronted");
+                Some((t, kind))
+            }
         }
     }
 
@@ -682,7 +768,7 @@ impl World {
             out,
             "now={} pending_events={} chains={}",
             self.now,
-            self.heap.len() + self.fifo.len() + usize::from(self.next_now.is_some()),
+            self.pending_events(),
             self.chains.len()
         );
         for (id, ch) in self.chains.iter() {
@@ -767,6 +853,14 @@ impl<'a> Ctx<'a> {
     pub fn timer<M: Send + 'static>(&mut self, msg: M, delay: SimDuration) {
         let me = self.me;
         self.world.send_after(me, msg, delay);
+    }
+
+    /// [`Ctx::timer`] through a fixed-delay lane (see
+    /// [`World::send_after_fixed`]): same delivery instant and order, no
+    /// heap traffic. For timers armed at a high rate with one delay.
+    pub fn fixed_timer<M: Send + 'static>(&mut self, msg: M, delay: SimDuration) {
+        let me = self.me;
+        self.world.send_after_fixed(me, msg, delay);
     }
 
     /// Starts a stage chain completing with `msg` to `to`.
@@ -889,6 +983,28 @@ mod tests {
         assert_eq!(w.metrics.counter("tags"), 0.0);
         w.run();
         assert_eq!(w.metrics.counter("tags"), 1.0);
+    }
+
+    #[test]
+    fn pending_events_counts_armed_timers_and_lanes() {
+        let mut w = World::new(1);
+        let h = w.add_host("h", 1, 1.0);
+        let t = w.add_thread(h, "t");
+        let a = w.add_actor("waiter", Waiter { done_at: None });
+        // Enqueueing on an idle core installs the thread and arms the
+        // core timer directly: no queued message, one armed timer.
+        w.start_chain(vec![Stage::cpu(t, 1_000_000, CpuCategory::Other)], a, Done);
+        assert_eq!(w.pending_events(), 1);
+        assert!(w
+            .dump_state()
+            .starts_with("now=0.000000s pending_events=1 "));
+        w.send_after_fixed(a, Done, SimDuration::from_millis(5));
+        w.send_after(a, Done, SimDuration::from_millis(5));
+        w.send_now(a, Done);
+        assert_eq!(w.pending_events(), 4);
+        assert!(format!("{w:?}").contains("pending_events: 4"));
+        w.run();
+        assert_eq!(w.pending_events(), 0);
     }
 
     // -- chain + scheduler tests ---------------------------------------------

@@ -8,12 +8,13 @@
 //! own state struct and retrieves it by type.
 
 use std::any::{Any, TypeId};
-use std::collections::HashMap;
+
+use crate::fxhash::FxHashMap;
 
 /// A type-indexed map of singleton extension states.
 #[derive(Default)]
 pub struct Extensions {
-    map: HashMap<TypeId, Box<dyn Any>>,
+    map: FxHashMap<TypeId, Box<dyn Any>>,
 }
 
 impl std::fmt::Debug for Extensions {

@@ -18,7 +18,8 @@
 //!   mirroring the CPU-breakdown legends of the paper's Figures 6–8;
 //! * lightweight deterministic [`rng`], [`metrics`] and a typed
 //!   extension blackboard ([`ext::Extensions`]) for shared hardware state
-//!   (page caches, filesystems) owned by higher layers.
+//!   (page caches, filesystems) owned by higher layers;
+//! * a seedless Fx hasher ([`fxhash`]) for the maps touched on every read.
 //!
 //! # Example
 //!
@@ -54,6 +55,7 @@ pub mod cpu;
 pub mod engine;
 pub mod ext;
 pub mod fault;
+pub mod fxhash;
 pub mod ids;
 pub mod job;
 pub mod metrics;
