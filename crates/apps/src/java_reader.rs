@@ -98,29 +98,30 @@ impl JavaReader {
         let len = self.request_bytes.min(self.total_bytes - self.offset);
         self.issued_at = ctx.now();
         self.next_req += 1;
-        match self.mode.clone() {
+        match &self.mode {
             ReaderMode::Local { path } => {
                 let me = ctx.me();
                 let vm = self.vm;
                 let offset = self.offset;
                 let stages = with_cluster(ctx.world, |cl, _| {
-                    let (extents, vcpu) = {
+                    let mut extents = Vec::new();
+                    let vcpu = {
                         let fs = &cl.vm(vm).fs;
-                        let f = fs.lookup(&path).expect("local file missing");
-                        (
-                            fs.resolve(f, offset, len).expect("read within file"),
-                            cl.vm(vm).vcpu,
-                        )
+                        let f = fs.lookup(path).expect("local file missing");
+                        fs.resolve(f, offset, len, &mut extents)
+                            .expect("read within file");
+                        cl.vm(vm).vcpu
                     };
-                    let mut st = Vec::new();
-                    for e in extents {
-                        st.extend(guest_disk_read(
+                    let mut st = StageList::new();
+                    for e in &extents {
+                        guest_disk_read(
                             cl,
                             vm,
                             e.image_offset,
                             e.len,
                             CpuCategory::ClientApp,
-                        ));
+                            &mut st,
+                        );
                     }
                     // minimal per-request application work
                     st.push(Stage::cpu(vcpu, 3_000, CpuCategory::ClientApp));
@@ -131,11 +132,11 @@ impl JavaReader {
             ReaderMode::Dfs { client, path } => {
                 let me = ctx.me();
                 ctx.send(
-                    client,
+                    *client,
                     DfsRead {
                         req: self.next_req,
                         reply_to: me,
-                        path,
+                        path: path.clone(),
                         offset: self.offset,
                         len,
                         pread: false,

@@ -77,9 +77,9 @@ fn bench_ring_stage_build(c: &mut Criterion) {
     let t = ThreadId::from_raw(0);
     c.bench_function("datapath/ring_stage_build_256k", |b| {
         b.iter(|| {
-            let mut st = ring.daemon_push_stages(&costs, t, 256 * 1024);
+            let mut st = StageList::from(ring.daemon_push_stages(&costs, t, 256 * 1024));
             st.extend(ring.guest_pop_stages(&costs, t, 256 * 1024));
-            st.len()
+            st.remaining()
         });
     });
 }

@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use vread_hdfs::meta::{BlockId, DatanodeIx, HdfsMeta};
 use vread_hdfs::namenode::BlockAdded;
 use vread_host::cluster::{with_cluster, Cluster, HostIx, VmId};
-use vread_host::fs::{FileId, FsSnapshot};
+use vread_host::fs::{Extent, FileId, FsSnapshot};
 use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSent, ConnSpec, Endpoint, Flavor, Side};
 use vread_sim::prelude::*;
 
@@ -358,6 +358,8 @@ pub struct VreadDaemon {
     /// (chunks between daemon push and guest pop completion); the
     /// timeline sampler turns it into an occupancy series.
     ring_gauge: GaugeId,
+    /// Reused buffer for a chunk's image extents.
+    extents: Vec<Extent>,
 }
 
 impl VreadDaemon {
@@ -437,18 +439,18 @@ impl VreadDaemon {
     /// what the host store said about the range — `pump_local` uses the
     /// outcome to pick the map-serve fast path for pure dedup hits.
     fn image_read_stages(
-        &self,
+        &mut self,
         ctx: &mut Ctx<'_>,
         dn_vm: VmId,
         file: FileId,
         offset: u64,
         len: u64,
-    ) -> (Vec<Stage>, ImageReadOutcome) {
+    ) -> (StageList, ImageReadOutcome) {
         let thread = self.thread;
         let bypass = self.bypass_host_fs;
         with_cluster(ctx.world, |cl, _w| {
             let c = cl.costs.clone();
-            let mut st = Vec::with_capacity(6);
+            let mut st = StageList::new();
             let mut out = ImageReadOutcome::default();
             st.push(Stage::cpu(
                 thread,
@@ -456,13 +458,12 @@ impl VreadDaemon {
                 CpuCategory::LoopDevice,
             ));
             let obj = cl.vm(dn_vm).fs.image();
-            let extents = cl
-                .vm(dn_vm)
+            cl.vm(dn_vm)
                 .fs
-                .resolve(file, offset, len)
+                .resolve(file, offset, len, &mut self.extents)
                 .expect("vfd read within snapshot size");
             let host = cl.vm(dn_vm).host;
-            for e in &extents {
+            for e in &self.extents {
                 if bypass {
                     // §6 variant: raw device read, manual 3-level address
                     // translation, no host page cache benefit.
@@ -607,13 +608,13 @@ impl Actor for VreadDaemon {
                         position: 0,
                     });
                     ctx.chain_on(
-                        vec![Stage::cpu(
+                        Stage::cpu(
                             self.thread,
                             costs.eventfd_cycles
                                 + costs.daemon_lookup_cycles
                                 + costs.fs_lookup_cycles,
                             CpuCategory::Daemon,
-                        )],
+                        ),
                         req.reply_to,
                         VreadOpenResp {
                             token: req.token,
@@ -632,11 +633,11 @@ impl Actor for VreadDaemon {
                         reg.daemons[&dn_host.0].0
                     };
                     ctx.chain_on(
-                        vec![Stage::cpu(
+                        Stage::cpu(
                             self.thread,
                             costs.eventfd_cycles + costs.rdma_post_cycles,
                             CpuCategory::Daemon,
-                        )],
+                        ),
                         peer,
                         ROpen {
                             from: me,
@@ -705,11 +706,11 @@ impl Actor for VreadDaemon {
                         };
                         let costs = Self::costs(ctx);
                         ctx.chain_on(
-                            vec![Stage::cpu(
+                            Stage::cpu(
                                 self.thread,
                                 costs.eventfd_cycles + costs.rdma_post_cycles,
                                 CpuCategory::Daemon,
-                            )],
+                            ),
                             peer,
                             RRead {
                                 from: ctx.me(),
@@ -790,11 +791,11 @@ impl Actor for VreadDaemon {
                 let costs = Self::costs(ctx);
                 let opened = self.open_local(ctx, op.dn, op.block);
                 ctx.chain(
-                    vec![Stage::cpu(
+                    Stage::cpu(
                         self.thread,
                         costs.fs_lookup_cycles + costs.daemon_lookup_cycles,
                         CpuCategory::Daemon,
-                    )],
+                    ),
                     op.from,
                     ROpenResp {
                         tag: op.tag,
@@ -890,11 +891,11 @@ impl Actor for VreadDaemon {
                     let costs = Self::costs(ctx);
                     let me = ctx.me();
                     ctx.chain(
-                        vec![Stage::cpu(
+                        Stage::cpu(
                             self.thread,
                             costs.mount_refresh_cycles + costs.fs_lookup_cycles,
                             CpuCategory::Daemon,
-                        )],
+                        ),
                         me,
                         MountRefreshed { vm_ix: mig.vm.0 },
                     );
@@ -971,7 +972,8 @@ impl Actor for VreadDaemon {
                     let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
                     cl.vm(client_vm).vcpu
                 };
-                let mut stages = ring.daemon_push_stages(&costs, self.thread, r.bytes);
+                let mut stages =
+                    StageList::from(ring.daemon_push_stages(&costs, self.thread, r.bytes));
                 stages.extend(ring.guest_pop_stages(&costs, vcpu, r.bytes));
                 ctx.world
                     .metrics
@@ -1036,11 +1038,7 @@ impl Actor for VreadDaemon {
                     // Refresh the mount point's dentry/inode info — only
                     // the added inodes need updating (paper §3.2).
                     ctx.chain(
-                        vec![Stage::cpu(
-                            self.thread,
-                            costs.mount_refresh_cycles,
-                            CpuCategory::Daemon,
-                        )],
+                        Stage::cpu(self.thread, costs.mount_refresh_cycles, CpuCategory::Daemon),
                         me,
                         MountRefreshed { vm_ix: vm.0 },
                     );
@@ -1183,6 +1181,7 @@ pub fn restart_daemon(w: &mut World, host: vread_host::cluster::HostIx) -> Optio
         peer_conns: BTreeMap::new(),
         bypass_host_fs: false,
         ring_gauge,
+        extents: Vec::new(),
     };
     let actor = w.add_actor(&format!("vreadd{}", host.0), daemon);
     w.ext
@@ -1253,6 +1252,7 @@ pub fn deploy_vread(w: &mut World, transport: RemoteTransport) -> Vec<ActorId> {
             peer_conns: BTreeMap::new(),
             bypass_host_fs: false,
             ring_gauge,
+            extents: Vec::new(),
         };
         let actor = w.add_actor(&format!("vreadd{hix}"), daemon);
         w.ext

@@ -122,7 +122,7 @@ impl VreadPath {
         self.fallback.start(ctx, shared, req, out);
     }
 
-    fn request_stages(ctx: &Ctx<'_>, shared: &ClientShared) -> Vec<Stage> {
+    fn request_stages(ctx: &Ctx<'_>, shared: &ClientShared) -> [Stage; 1] {
         let cl = ctx.world.ext.get::<Cluster>().expect("Cluster missing");
         let ring = RingSpec::from_costs(&cl.costs);
         ring.guest_request_stages(&cl.costs, cl.vm(shared.vm).vcpu)

@@ -56,8 +56,8 @@ impl RingSpec {
 
     /// Stage: the daemon copies `bytes` from the (page-cached) image into
     /// ring slots and rings the guest's doorbell.
-    pub fn daemon_push_stages(&self, c: &Costs, daemon: ThreadId, bytes: u64) -> Vec<Stage> {
-        vec![
+    pub fn daemon_push_stages(&self, c: &Costs, daemon: ThreadId, bytes: u64) -> [Stage; 2] {
+        [
             Stage::copy(
                 daemon,
                 c.copy_cycles(bytes) + self.slot_cycles(c, bytes),
@@ -74,8 +74,8 @@ impl RingSpec {
     /// Replaces [`RingSpec::daemon_push_stages`] on the map-serve fast
     /// path, eliminating the daemon-side copy — dedup hits land at one
     /// copy per read (the guest pop).
-    pub fn daemon_map_stages(&self, c: &Costs, daemon: ThreadId, bytes: u64) -> Vec<Stage> {
-        vec![
+    pub fn daemon_map_stages(&self, c: &Costs, daemon: ThreadId, bytes: u64) -> [Stage; 2] {
+        [
             Stage::map(
                 daemon,
                 self.slots_for(bytes) * c.cas_map_cycles + self.slot_cycles(c, bytes),
@@ -89,8 +89,8 @@ impl RingSpec {
     /// Stages: the guest driver turns the eventfd into a virtual
     /// interrupt and libvread copies the payload out of the ring into the
     /// application buffer.
-    pub fn guest_pop_stages(&self, c: &Costs, vcpu: ThreadId, bytes: u64) -> Vec<Stage> {
-        vec![
+    pub fn guest_pop_stages(&self, c: &Costs, vcpu: ThreadId, bytes: u64) -> [Stage; 2] {
+        [
             Stage::cpu(vcpu, c.eventfd_irq_cycles, CpuCategory::Other),
             Stage::copy(
                 vcpu,
@@ -103,8 +103,8 @@ impl RingSpec {
 
     /// Stages: the guest posts a request descriptor into the ring and
     /// rings the daemon's doorbell (the control direction).
-    pub fn guest_request_stages(&self, c: &Costs, vcpu: ThreadId) -> Vec<Stage> {
-        vec![Stage::cpu(
+    pub fn guest_request_stages(&self, c: &Costs, vcpu: ThreadId) -> [Stage; 1] {
+        [Stage::cpu(
             vcpu,
             c.ring_slot_cycles + c.eventfd_cycles,
             CpuCategory::Daemon,
@@ -112,8 +112,8 @@ impl RingSpec {
     }
 
     /// Stage: the daemon wakes on its eventfd and reads the request slot.
-    pub fn daemon_wake_stages(&self, c: &Costs, daemon: ThreadId) -> Vec<Stage> {
-        vec![Stage::cpu(
+    pub fn daemon_wake_stages(&self, c: &Costs, daemon: ThreadId) -> [Stage; 1] {
+        [Stage::cpu(
             daemon,
             c.ring_slot_cycles + c.eventfd_cycles,
             CpuCategory::Daemon,

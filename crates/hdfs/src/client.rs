@@ -10,6 +10,9 @@
 //! that replaces `read_buffer`/`fetchBlocks` with `vRead_read` and falls
 //! back to vanilla when no descriptor can be opened.
 
+use std::ops::Range;
+use std::rc::Rc;
+
 use vread_host::cluster::{with_cluster, Cluster, VmId};
 use vread_net::conn::{add_conn, ConnRecv, ConnSend, ConnSpec, Endpoint, Flavor, Side};
 use vread_sim::fxhash::{FxHashMap, FxHashSet};
@@ -316,7 +319,7 @@ impl BlockReadPath for VanillaPath {
                 (cl.vm(shared.vm).vcpu, cl.costs.client_stream_setup_cycles)
             };
             ctx.chain_on(
-                vec![Stage::cpu(vcpu, cycles, CpuCategory::ClientApp)],
+                Stage::cpu(vcpu, cycles, CpuCategory::ClientApp),
                 conn,
                 send,
                 req.span,
@@ -336,7 +339,7 @@ impl BlockReadPath for VanillaPath {
         match downcast::<ConnRecv>(msg) {
             Ok(r) => {
                 let Some(st) = self.streams.get_mut(&r.tag) else {
-                    return Err(Box::new(*r));
+                    return Err(r as BoxMsg);
                 };
                 st.got += r.bytes;
                 out.push(PathEvent::Chunk {
@@ -364,9 +367,12 @@ struct ReadReq {
     offset: u64,
     len: u64,
     pread: bool,
-    blocks: Vec<LocatedBlock>,
-    cur_block: usize,
-    expected: u64,
+    /// The file's located blocks, shared with the client's location
+    /// cache.
+    blocks: Rc<[LocatedBlock]>,
+    /// The blocks the request overlaps; `start` advances to the block
+    /// being fetched.
+    parts: Range<usize>,
     bytes_done: u64,
     processing: u64,
     all_sent: bool,
@@ -449,7 +455,7 @@ pub struct DfsClient {
     vm: VmId,
     path_impl: Box<dyn BlockReadPath>,
     next_id: u64,
-    loc_cache: FxHashMap<String, Vec<LocatedBlock>>,
+    loc_cache: FxHashMap<String, Rc<[LocatedBlock]>>,
     reads: FxHashMap<u64, ReadReq>,
     tokens: std::collections::BTreeMap<u64, u64>,
     nn_tokens: FxHashMap<u64, u64>,
@@ -460,6 +466,8 @@ pub struct DfsClient {
     /// selection avoids them while any alternative exists, but still
     /// retries them as a last resort — never silently dropping data.
     dead_nodes: FxHashSet<usize>,
+    /// Reused buffer for the events a read path reports.
+    events: Vec<PathEvent>,
     m_bytes_read: LazyCounter,
     /// Level gauge of in-flight `DfsRead` requests (timeline source).
     m_outstanding: LazyGauge,
@@ -481,6 +489,7 @@ pub fn add_client(w: &mut World, vm: VmId, path_impl: Box<dyn BlockReadPath>) ->
             write_tags: FxHashMap::default(),
             write_conns: FxHashMap::default(),
             dead_nodes: FxHashSet::default(),
+            events: Vec::new(),
             m_bytes_read: LazyCounter::new("hdfs_bytes_read"),
             m_outstanding: LazyGauge::new("hdfs.outstanding_reads"),
         },
@@ -535,108 +544,79 @@ impl DfsClient {
     /// Starts the fetch of the current block part of read `rid`.
     fn start_block(&mut self, ctx: &mut Ctx<'_>, rid: u64) {
         let shared = self.shared(ctx);
-        let (req, done) = {
-            let r = self.reads.get_mut(&rid).expect("read vanished");
-            if r.cur_block >= r.blocks.len() {
-                r.all_sent = true;
-                (None, true)
-            } else {
-                let lb = &r.blocks[r.cur_block];
-                // resume after any bytes the previous attempt delivered
-                let start = r.offset.max(lb.offset) + r.part_received;
-                let end = (r.offset + r.len).min(lb.offset + lb.len);
-                debug_assert!(start <= end, "part resume past its end");
-                let token = {
-                    // allocate inline to avoid double borrow
-                    self.next_id += 1;
-                    self.next_id
-                };
-                let r = self.reads.get_mut(&rid).expect("read vanished");
-                let lb = &r.blocks[r.cur_block];
-                // pick a replica not yet tried for this block (co-located
-                // preferred, known-dead nodes last); if every replica
-                // timed out, give the part up.
-                let dn = {
-                    let meta = ctx.world.ext.get::<HdfsMeta>().expect("meta");
-                    let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
-                    let my_host = cl.vm(self.vm).host;
-                    let tried = &r.tried;
-                    let dead = &self.dead_nodes;
-                    let mut candidates: Vec<DatanodeIx> = lb
-                        .replicas
-                        .iter()
-                        .copied()
-                        .filter(|d| !tried.contains(d))
-                        .collect();
-                    candidates.sort_by_key(|&d| {
-                        let remote = cl.vm(meta.datanodes[d.0].vm).host != my_host;
-                        (dead.contains(&d.0), meta.topology_aware && remote)
-                    });
-                    candidates.first().copied()
-                };
-                let Some(dn) = dn else {
-                    // no replica left: abandon this block part
-                    r.part_received = 0;
-                    r.cur_block += 1;
-                    let give_up = r.cur_block >= r.blocks.len();
-                    if give_up {
-                        r.all_sent = true;
-                        let _ = r;
-                        self.maybe_finish_read(ctx, rid);
-                        return;
-                    }
-                    r.tried.clear();
-                    let _ = r;
-                    self.start_block(ctx, rid);
-                    return;
-                };
-                self.tokens.insert(token, rid);
-                let pread = r.pread;
-                r.cur_token = Some(token);
-                r.cur_dn = Some(dn);
-                let parent = r.span;
-                let now = ctx.now();
-                let bspan = ctx.world.spans.start("block_fetch", parent, now);
-                r.cur_span = bspan;
-                let mark = r.bytes_done;
-                let timeout_ms = {
-                    let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
-                    cl.costs.client_read_timeout_ms
-                };
-                ctx.fixed_timer(
-                    FetchTimeout {
-                        rid,
-                        token,
-                        progress_mark: mark,
-                    },
-                    vread_sim::SimDuration::from_millis(timeout_ms),
-                );
-                let lb = &r.blocks[r.cur_block];
-                (
-                    Some(BlockReq {
-                        token,
-                        dn,
-                        block: lb.block,
-                        offset: start - lb.offset,
-                        len: end - start,
-                        pread,
-                        span: bspan,
-                    }),
-                    false,
-                )
-            }
-        };
-        if let Some(req) = req {
-            let mut out = Vec::new();
-            self.path_impl.start(ctx, &shared, req, &mut out);
-            self.process_events(ctx, out);
-        } else if done {
+        let r = self.reads.get_mut(&rid).expect("read vanished");
+        if r.parts.is_empty() {
+            r.all_sent = true;
             self.maybe_finish_read(ctx, rid);
+            return;
         }
+        let lb = &r.blocks[r.parts.start];
+        // resume after any bytes the previous attempt delivered
+        let start = r.offset.max(lb.offset) + r.part_received;
+        let end = (r.offset + r.len).min(lb.offset + lb.len);
+        debug_assert!(start <= end, "part resume past its end");
+        self.next_id += 1;
+        let token = self.next_id;
+        // pick a replica not yet tried for this block (co-located
+        // preferred, known-dead nodes last); if every replica timed out,
+        // give the part up.
+        let dn = {
+            let meta = ctx.world.ext.get::<HdfsMeta>().expect("meta");
+            let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
+            let my_host = cl.vm(self.vm).host;
+            let dead = &self.dead_nodes;
+            lb.replicas
+                .iter()
+                .copied()
+                .filter(|d| !r.tried.contains(d))
+                .min_by_key(|&d| {
+                    let remote = cl.vm(meta.datanodes[d.0].vm).host != my_host;
+                    (dead.contains(&d.0), meta.topology_aware && remote)
+                })
+        };
+        let now = ctx.now();
+        let Some(dn) = dn else {
+            // no replica left: abandon this block part
+            r.part_received = 0;
+            r.parts.start += 1;
+            r.tried.clear();
+            self.start_block(ctx, rid);
+            return;
+        };
+        let req = BlockReq {
+            token,
+            dn,
+            block: lb.block,
+            offset: start - lb.offset,
+            len: end - start,
+            pread: r.pread,
+            span: ctx.world.spans.start("block_fetch", r.span, now),
+        };
+        self.tokens.insert(token, rid);
+        r.cur_token = Some(token);
+        r.cur_dn = Some(dn);
+        r.cur_span = req.span;
+        let timeout_ms = {
+            let cl = ctx.world.ext.get::<Cluster>().expect("cluster");
+            cl.costs.client_read_timeout_ms
+        };
+        ctx.fixed_timer(
+            FetchTimeout {
+                rid,
+                token,
+                progress_mark: r.bytes_done,
+            },
+            vread_sim::SimDuration::from_millis(timeout_ms),
+        );
+        let mut out = std::mem::take(&mut self.events);
+        self.path_impl.start(ctx, &shared, req, &mut out);
+        self.process_events(ctx, out);
     }
 
-    fn process_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<PathEvent>) {
-        for ev in events {
+    /// Acts on the events a read path reported into `events`, then keeps
+    /// the drained buffer for the next message.
+    fn process_events(&mut self, ctx: &mut Ctx<'_>, mut events: Vec<PathEvent>) {
+        for ev in events.drain(..) {
             match ev {
                 PathEvent::Chunk { token, bytes } => {
                     let Some(&rid) = self.tokens.get(&token) else {
@@ -651,7 +631,7 @@ impl DfsClient {
                     let cycles = self.client_cycles(ctx, bytes);
                     let me = ctx.me();
                     ctx.chain_on(
-                        vec![Stage::cpu(vcpu, cycles, CpuCategory::ClientApp)],
+                        Stage::cpu(vcpu, cycles, CpuCategory::ClientApp),
                         me,
                         ChunkCpu { rid, token, bytes },
                         span,
@@ -661,29 +641,24 @@ impl DfsClient {
                     let Some(&rid) = self.tokens.get(&token) else {
                         continue;
                     };
-                    let (advance, bspan) = {
+                    let bspan = {
                         let r = self.reads.get_mut(&rid).expect("read vanished");
                         r.cur_token = None;
                         r.cur_dn = None;
                         r.tried.clear();
                         r.part_received = 0;
                         r.timeouts = 0;
-                        r.cur_block += 1;
-                        let bspan = std::mem::replace(&mut r.cur_span, SpanId::NONE);
-                        (r.cur_block < r.blocks.len(), bspan)
+                        r.parts.start += 1;
+                        std::mem::replace(&mut r.cur_span, SpanId::NONE)
                     };
                     let now = ctx.now();
                     ctx.world.spans.end(bspan, now);
-                    if advance {
-                        self.start_block(ctx, rid);
-                    } else {
-                        let r = self.reads.get_mut(&rid).expect("read vanished");
-                        r.all_sent = true;
-                        self.maybe_finish_read(ctx, rid);
-                    }
+                    // the next part, or the read's end after the last one
+                    self.start_block(ctx, rid);
                 }
             }
         }
+        self.events = events;
     }
 
     fn maybe_finish_read(&mut self, ctx: &mut Ctx<'_>, rid: u64) {
@@ -715,30 +690,25 @@ impl DfsClient {
         }
     }
 
+    /// Selects the blocks read `rid` overlaps (Algorithm 2's
+    /// `getRangeBlock`) and starts fetching the first.
     fn begin_read(&mut self, ctx: &mut Ctx<'_>, rid: u64) {
-        let (blocks, offset, len) = {
-            let r = self.reads.get(&rid).expect("read vanished");
-            let blocks = self.loc_cache.get(&r.path).cloned().unwrap_or_default();
-            (blocks, r.offset, r.len)
-        };
-        let mut selected: Vec<LocatedBlock> = Vec::new();
+        let r = self.reads.get_mut(&rid).expect("read vanished");
+        let end = r.offset + r.len;
+        let mut parts = 0..0;
         let mut expected = 0u64;
-        let end = offset + len;
-        for b in &blocks {
-            if b.offset < end && b.offset + b.len > offset {
-                let s = offset.max(b.offset);
-                let e = end.min(b.offset + b.len);
-                expected += e - s;
-                selected.push(b.clone());
+        for (i, b) in r.blocks.iter().enumerate() {
+            if b.offset < end && b.offset + b.len > r.offset {
+                if parts.is_empty() {
+                    parts = i..i;
+                }
+                debug_assert_eq!(parts.end, i, "a file's blocks are in offset order");
+                parts.end = i + 1;
+                expected += end.min(b.offset + b.len) - r.offset.max(b.offset);
             }
         }
-        {
-            let r = self.reads.get_mut(&rid).expect("read vanished");
-            r.blocks = selected;
-            r.expected = expected;
-        }
+        r.parts = parts;
         if expected == 0 {
-            let r = self.reads.get_mut(&rid).expect("read vanished");
             r.all_sent = true;
             self.maybe_finish_read(ctx, rid);
         } else {
@@ -863,11 +833,7 @@ impl DfsClient {
                     let vcpu = self.vcpu(ctx);
                     let cycles = Self::write_cycles(ctx, cpu.bytes);
                     let me = ctx.me();
-                    ctx.chain(
-                        vec![Stage::cpu(vcpu, cycles, CpuCategory::ClientApp)],
-                        me,
-                        cpu,
-                    );
+                    ctx.chain(Stage::cpu(vcpu, cycles, CpuCategory::ClientApp), me, cpu);
                 }
             }
         }
@@ -882,6 +848,8 @@ impl Actor for DfsClient {
                 let rid = self.alloc_id();
                 let now = ctx.now();
                 let span = ctx.world.spans.start("read", SpanId::NONE, now);
+                let cached = self.loc_cache.get(&rd.path).cloned();
+                let hit = cached.is_some();
                 self.reads.insert(
                     rid,
                     ReadReq {
@@ -890,13 +858,14 @@ impl Actor for DfsClient {
                         offset: rd.offset,
                         len: rd.len,
                         pread: rd.pread,
-                        blocks: Vec::new(),
-                        cur_block: 0,
-                        expected: 0,
+                        // a miss allocates a placeholder until the
+                        // namenode answers
+                        blocks: cached.unwrap_or_default(),
+                        parts: 0..0,
                         bytes_done: 0,
                         processing: 0,
                         all_sent: false,
-                        path: rd.path.clone(),
+                        path: rd.path,
                         cur_token: None,
                         cur_dn: None,
                         tried: Vec::new(),
@@ -908,7 +877,7 @@ impl Actor for DfsClient {
                     },
                 );
                 self.m_outstanding.add(ctx.metrics(), 1.0);
-                if self.loc_cache.contains_key(&rd.path) {
+                if hit {
                     self.begin_read(ctx, rid);
                 } else {
                     let token = self.alloc_id();
@@ -926,7 +895,7 @@ impl Actor for DfsClient {
                         NnGetLocations {
                             reply_to: me,
                             token,
-                            path: rd.path,
+                            path: self.reads[&rid].path.clone(),
                         },
                     );
                 }
@@ -959,8 +928,10 @@ impl Actor for DfsClient {
         let msg = match downcast::<NnLocations>(msg) {
             Ok(loc) => {
                 if let Some(rid) = self.nn_tokens.remove(&loc.token) {
-                    let path = self.reads.get(&rid).expect("read vanished").path.clone();
-                    self.loc_cache.insert(path, loc.blocks.unwrap_or_default());
+                    let blocks: Rc<[LocatedBlock]> = loc.blocks.unwrap_or_default().into();
+                    let r = self.reads.get_mut(&rid).expect("read vanished");
+                    r.blocks = Rc::clone(&blocks);
+                    self.loc_cache.insert(r.path.clone(), blocks);
                     self.begin_read(ctx, rid);
                 }
                 return;
@@ -1163,14 +1134,14 @@ impl Actor for DfsClient {
                     self.pump_write(ctx, rid);
                     return;
                 }
-                Box::new(*r) as BoxMsg
+                r as BoxMsg
             }
             Err(m) => m,
         };
 
         // -- everything else belongs to the read path ----------------------------
         let shared = self.shared(ctx);
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.events);
         if self.path_impl.on_msg(ctx, &shared, msg, &mut out).is_ok() {
             self.process_events(ctx, out);
         }

@@ -12,6 +12,7 @@
 use std::collections::VecDeque;
 
 use vread_host::cluster::{with_cluster, Cluster, VmId};
+use vread_host::fs::{Extent, FileId};
 use vread_host::virtio::{guest_disk_read, guest_disk_write};
 use vread_net::conn::{ConnRecv, ConnSend, ConnSent, Side};
 use vread_sim::fxhash::FxHashMap;
@@ -105,6 +106,12 @@ pub struct Datanode {
     /// Forward-stream tags: (upstream conn, upstream tag) -> downstream tag.
     fwd_tags: FxHashMap<(u32, u64), u64>,
     next_tag: u64,
+    /// Block files looked up so far, valid while the VM filesystem's
+    /// `namespace_version` equals `block_files_version`.
+    block_files: FxHashMap<BlockId, FileId>,
+    block_files_version: u64,
+    /// Reused buffer for a chunk's image extents.
+    extents: Vec<Extent>,
 }
 
 /// Creates a datanode actor serving from `vm` and registers it in the
@@ -130,6 +137,9 @@ pub fn add_datanode(w: &mut World, vm: VmId) -> (ActorId, DatanodeIx) {
             fwd_conns: FxHashMap::default(),
             fwd_tags: FxHashMap::default(),
             next_tag: 0,
+            block_files: FxHashMap::default(),
+            block_files_version: 0,
+            extents: Vec::new(),
         },
     );
     let meta = w.ext.get_mut::<HdfsMeta>().expect("HdfsMeta not installed");
@@ -184,42 +194,41 @@ impl Datanode {
     fn pump_read(&mut self, key: (u32, u64), ctx: &mut Ctx<'_>) {
         let me = ctx.me();
         loop {
-            let (offset, chunk) = {
-                let Some(st) = self.reads.get(&key) else {
-                    return;
-                };
-                if st.inflight >= READ_WINDOW || st.remaining == 0 {
-                    break;
-                }
-                (st.next_offset, 0u64)
+            let Some(st) = self.reads.get_mut(&key) else {
+                return;
             };
-            let _ = chunk;
+            if st.inflight >= READ_WINDOW || st.remaining == 0 {
+                break;
+            }
+            let vm = self.vm;
             let (stages, take) = with_cluster(ctx.world, |cl, _w| {
-                let st = self.reads.get(&key).expect("stream vanished");
                 let take = st.remaining.min(cl.costs.stream_chunk_bytes);
-                let vm = self.vm;
-                let fs_file =
-                    cl.vm(vm).fs.lookup(&st.block.path()).unwrap_or_else(|| {
+                let fs = &cl.vm(vm).fs;
+                // a create, delete or rename may have moved any block file
+                if self.block_files_version != fs.namespace_version {
+                    self.block_files.clear();
+                    self.block_files_version = fs.namespace_version;
+                }
+                let fs_file = *self.block_files.entry(st.block).or_insert_with(|| {
+                    fs.lookup(&st.block.path()).unwrap_or_else(|| {
                         panic!("datanode missing block file {}", st.block.path())
-                    });
-                let extents = cl
-                    .vm(vm)
-                    .fs
-                    .resolve(fs_file, offset, take)
+                    })
+                });
+                fs.resolve(fs_file, st.next_offset, take, &mut self.extents)
                     .expect("block read past end");
-                let mut stages = Vec::new();
-                for e in extents {
-                    stages.extend(guest_disk_read(
+                let mut stages = StageList::new();
+                for e in &self.extents {
+                    guest_disk_read(
                         cl,
                         vm,
                         e.image_offset,
                         e.len,
                         CpuCategory::DatanodeApp,
-                    ));
+                        &mut stages,
+                    );
                 }
                 let vcpu = cl.vm(vm).vcpu;
-                let setup = self.reads.get(&key).expect("stream").setup_pending;
-                let setup_cycles = if setup {
+                let setup_cycles = if st.setup_pending {
                     cl.costs.dn_stream_setup_cycles
                 } else {
                     0
@@ -231,15 +240,11 @@ impl Datanode {
                 ));
                 (stages, take)
             });
-            let span = {
-                let st = self.reads.get_mut(&key).expect("stream vanished");
-                st.setup_pending = false;
-                st.next_offset += take;
-                st.remaining -= take;
-                st.inflight += 1;
-                st.span
-            };
-            ctx.chain_on(stages, me, ChunkRead { key, bytes: take }, span);
+            st.setup_pending = false;
+            st.next_offset += take;
+            st.remaining -= take;
+            st.inflight += 1;
+            ctx.chain_on(stages, me, ChunkRead { key, bytes: take }, st.span);
         }
     }
 }
@@ -311,12 +316,14 @@ impl Actor for Datanode {
                                 None => fs.create(&path).expect("fresh block file"),
                             };
                             let ext = fs.append(file, meta.bytes);
-                            let mut stages = guest_disk_write(
+                            let mut stages = StageList::new();
+                            guest_disk_write(
                                 cl,
                                 vm,
                                 ext.image_offset,
                                 meta.bytes,
                                 CpuCategory::DatanodeApp,
+                                &mut stages,
                             );
                             let vcpu = cl.vm(vm).vcpu;
                             stages.push(Stage::cpu(

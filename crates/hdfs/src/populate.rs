@@ -56,6 +56,7 @@ pub fn populate_file(w: &mut World, path: &str, bytes: u64, placement: &Placemen
     let block_size = meta.block_bytes;
     let mut off = 0u64;
     let mut index = 0usize;
+    let mut extents = Vec::new();
     while off < bytes {
         let len = block_size.min(bytes - off);
         let replicas = placement.replicas(index);
@@ -70,9 +71,10 @@ pub fn populate_file(w: &mut World, path: &str, bytes: u64, placement: &Placemen
             let fs = &mut cl.vm_mut(vm).fs;
             let file = fs.create(&block.path()).expect("fresh block path collided");
             fs.append(file, len);
-            let extents = fs.resolve(file, 0, len).expect("fresh block resolves");
+            fs.resolve(file, 0, len, &mut extents)
+                .expect("fresh block resolves");
             let mut coff = 0u64;
-            for e in extents {
+            for e in &extents {
                 cl.bind_content(vm, e.image_offset, e.len, content, coff);
                 coff += e.len;
             }
@@ -105,13 +107,16 @@ pub fn warm_file(w: &mut World, path: &str) {
     let mut cl = w.ext.remove::<Cluster>().expect("Cluster not installed");
     let meta = w.ext.remove::<HdfsMeta>().expect("HdfsMeta not installed");
     let file = meta.file(path).expect("unknown file");
+    let mut extents = Vec::new();
     for lb in &file.blocks {
         for &dn in &lb.replicas {
             let vm = meta.datanodes[dn.0].vm;
-            let (obj, extents) = {
+            let obj = {
                 let fs = &cl.vm(vm).fs;
                 let f = fs.lookup(&lb.block.path()).expect("block file missing");
-                (fs.image(), fs.resolve(f, 0, lb.len).expect("block intact"))
+                fs.resolve(f, 0, lb.len, &mut extents)
+                    .expect("block intact");
+                fs.image()
             };
             let host = cl.vm(vm).host;
             for e in &extents {

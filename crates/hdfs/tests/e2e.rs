@@ -344,3 +344,31 @@ fn vanilla_read_charges_expected_categories() {
         0.0
     );
 }
+
+/// The datanode remembers which guest file holds each block. Renaming
+/// the file must invalidate that memo: the next read of the block fails
+/// as it would without the memo, instead of serving the moved file.
+#[test]
+#[should_panic(expected = "datanode missing block file")]
+fn renamed_block_file_is_not_served_from_a_stale_memo() {
+    let mut tb = testbed(64);
+    populate_file(&mut tb.w, "/f", 1 << 20, &Placement::One(tb.dn_local));
+    let read = Req::Read {
+        path: "/f".into(),
+        offset: 0,
+        len: 1 << 20,
+    };
+    let done = run_script(&mut tb, vec![read.clone()]);
+    assert_eq!(done[0].1, 1 << 20);
+    let (block, dn_vm) = {
+        let meta = tb.w.ext.get::<HdfsMeta>().unwrap();
+        let block = meta.file("/f").unwrap().blocks[0].block;
+        (block, meta.datanodes[tb.dn_local.0].vm)
+    };
+    let cl = tb.w.ext.get_mut::<Cluster>().unwrap();
+    cl.vm_mut(dn_vm)
+        .fs
+        .rename(&block.path(), "/hdfs/moved")
+        .unwrap();
+    run_script(&mut tb, vec![read]);
+}

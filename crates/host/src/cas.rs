@@ -63,6 +63,9 @@ pub struct CasStore {
     /// last-use tick -> chunk (ticks are unique): the global LRU order.
     order: BTreeMap<u64, ChunkKey>,
     stats: CacheStats,
+    /// Reused buffer for the keys of the range being looked up or
+    /// admitted.
+    keys: Vec<ChunkKey>,
 }
 
 impl CasStore {
@@ -83,16 +86,18 @@ impl CasStore {
             resident: BTreeMap::new(),
             order: BTreeMap::new(),
             stats: CacheStats::default(),
+            keys: Vec::new(),
         }
     }
 
     /// The physical chunk keys backing `[offset, offset+len)` of `obj`,
     /// in key order and without duplicates (a sub-chunk binding can
-    /// split one object chunk into pieces that share a key).
-    fn keys_for(&self, obj: u64, offset: u64, len: u64) -> Vec<ChunkKey> {
-        let mut keys: Vec<ChunkKey> = Vec::new();
+    /// split one object chunk into pieces that share a key). They
+    /// replace the contents of `keys`.
+    fn keys_for(&self, obj: u64, offset: u64, len: u64, keys: &mut Vec<ChunkKey>) {
+        keys.clear();
         if len == 0 {
-            return keys;
+            return;
         }
         let end = offset + len;
         let mut pos = offset;
@@ -134,7 +139,6 @@ impl CasStore {
         }
         keys.sort_unstable();
         keys.dedup();
-        keys
     }
 
     fn touch(&mut self, key: ChunkKey) {
@@ -169,7 +173,9 @@ impl CasStore {
 impl BlockStore for CasStore {
     fn lookup(&mut self, obj: ObjectId, offset: u64, len: u64) -> Lookup {
         let mut out = Lookup::default();
-        for key in self.keys_for(obj.raw(), offset, len) {
+        let mut keys = std::mem::take(&mut self.keys);
+        self.keys_for(obj.raw(), offset, len, &mut keys);
+        for &key in &keys {
             match self.resident.get(&key) {
                 Some(r) => {
                     let dedup = matches!(key, ChunkKey::Content { .. }) && r.owner != obj.raw();
@@ -188,19 +194,22 @@ impl BlockStore for CasStore {
                 }
             }
         }
+        self.keys = keys;
         out
     }
 
     fn probe(&self, obj: ObjectId, offset: u64, len: u64) -> bool {
-        self.keys_for(obj.raw(), offset, len)
-            .iter()
-            .all(|k| self.resident.contains_key(k))
+        let mut keys = Vec::new();
+        self.keys_for(obj.raw(), offset, len, &mut keys);
+        keys.iter().all(|k| self.resident.contains_key(k))
     }
 
     fn admit(&mut self, obj: ObjectId, offset: u64, len: u64) -> Admission {
         let mut any_miss = false;
         let mut any_dedup = false;
-        for key in self.keys_for(obj.raw(), offset, len) {
+        let mut keys = std::mem::take(&mut self.keys);
+        self.keys_for(obj.raw(), offset, len, &mut keys);
+        for &key in &keys {
             match self.resident.get(&key) {
                 Some(r) => {
                     any_dedup |= matches!(key, ChunkKey::Content { .. }) && r.owner != obj.raw();
@@ -212,6 +221,7 @@ impl BlockStore for CasStore {
                 }
             }
         }
+        self.keys = keys;
         if any_miss {
             Admission::Miss
         } else if any_dedup {
@@ -444,7 +454,8 @@ mod tests {
         let mut s = CasStore::new(1 << 20, 4096);
         // A binding strictly inside chunk 0 of object 1.
         s.bind(obj(1), 1000, 2000, cid(4), 0);
-        let keys = s.keys_for(1, 0, 4096);
+        let mut keys = Vec::new();
+        s.keys_for(1, 0, 4096, &mut keys);
         // object chunk 0 (before + after the binding, deduped) + content chunk 0
         assert_eq!(keys.len(), 2);
         s.admit(obj(1), 0, 4096);

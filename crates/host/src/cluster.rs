@@ -298,10 +298,10 @@ impl Cluster {
 pub fn with_cluster<R>(w: &mut World, f: impl FnOnce(&mut Cluster, &mut World) -> R) -> R {
     let mut cl = w
         .ext
-        .remove::<Cluster>()
+        .take::<Cluster>()
         .expect("Cluster not installed in world extensions");
     let r = f(&mut cl, w);
-    w.ext.insert(cl);
+    w.ext.put(cl);
     r
 }
 

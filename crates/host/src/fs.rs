@@ -97,7 +97,8 @@ struct Inode {
 /// let mut fs = GuestFs::new(ObjectId::from_raw(7));
 /// let blk = fs.create("/hdfs/data/blk_1")?;
 /// fs.append(blk, 4096);
-/// let extents = fs.resolve(blk, 0, 4096)?;
+/// let mut extents = Vec::new();
+/// fs.resolve(blk, 0, 4096, &mut extents)?;
 /// assert_eq!(extents[0].len, 4096);
 /// # Ok::<(), vread_host::fs::FsError>(())
 /// ```
@@ -187,17 +188,24 @@ impl GuestFs {
         self.inodes[file.0 as usize].size
     }
 
-    /// Resolves `[offset, offset+len)` of `file` to image extents.
+    /// Resolves `[offset, offset+len)` of `file` to image extents, which
+    /// replace the contents of `out`.
     ///
     /// # Errors
     ///
     /// Returns [`FsError::BeyondEof`] if the range extends past the file.
-    pub fn resolve(&self, file: FileId, offset: u64, len: u64) -> Result<Vec<Extent>, FsError> {
+    pub fn resolve(
+        &self,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        out: &mut Vec<Extent>,
+    ) -> Result<(), FsError> {
+        out.clear();
         let inode = &self.inodes[file.0 as usize];
         if offset + len > inode.size {
             return Err(FsError::BeyondEof(offset + len, inode.size));
         }
-        let mut out = Vec::new();
         let mut pos = 0u64; // logical position of current extent start
         let mut need_off = offset;
         let mut need_len = len;
@@ -219,7 +227,7 @@ impl GuestFs {
             pos = ext_end;
         }
         debug_assert_eq!(need_len, 0, "extent bookkeeping out of sync with size");
-        Ok(out)
+        Ok(())
     }
 
     /// Deletes a path (the inode's storage is not reclaimed — HDFS blocks
@@ -323,7 +331,8 @@ mod tests {
         f.append(id, 1000);
         f.append(id, 500);
         assert_eq!(f.size(id), 1500);
-        let exts = f.resolve(id, 0, 1500).unwrap();
+        let mut exts = Vec::new();
+        f.resolve(id, 0, 1500, &mut exts).unwrap();
         // contiguous appends coalesce into one extent
         assert_eq!(exts.len(), 1);
         assert_eq!(exts[0].len, 1500);
@@ -337,7 +346,8 @@ mod tests {
         f.append(a, 1000); // a: [0,1000)
         f.append(b, 1000); // b: [1000,2000)
         f.append(a, 1000); // a: [2000,3000)
-        let exts = f.resolve(a, 500, 1000).unwrap();
+        let mut exts = Vec::new();
+        f.resolve(a, 500, 1000, &mut exts).unwrap();
         assert_eq!(exts.len(), 2);
         assert_eq!(
             exts[0],
@@ -361,7 +371,7 @@ mod tests {
         let a = f.create("/a").unwrap();
         f.append(a, 100);
         assert!(matches!(
-            f.resolve(a, 50, 100),
+            f.resolve(a, 50, 100, &mut Vec::new()),
             Err(FsError::BeyondEof(150, 100))
         ));
     }

@@ -20,7 +20,7 @@ use vread_sim::prelude::*;
 use crate::cluster::{Cluster, VmId};
 use crate::store::BlockStore;
 
-/// Builds the stage chain for a guest application reading
+/// Appends to `stages` the chain for a guest application reading
 /// `[offset, offset+len)` of its VM's disk image.
 ///
 /// `user_cat` is the accounting category charged for the final
@@ -33,13 +33,13 @@ pub fn guest_disk_read(
     offset: u64,
     len: u64,
     user_cat: CpuCategory,
-) -> Vec<Stage> {
+    stages: &mut StageList,
+) {
     let costs = cl.costs.clone();
     let obj = cl.vms[vm.0].fs.image();
     let guest_missing = cl.vms[vm.0].cache.lookup(obj, offset, len).miss_bytes;
     let vcpu = cl.vms[vm.0].vcpu;
     let vhost = cl.vms[vm.0].vhost;
-    let mut stages = Vec::with_capacity(8);
 
     if guest_missing == 0 {
         // Served from the guest page cache: read() syscall + copy to user.
@@ -49,7 +49,7 @@ pub fn guest_disk_read(
             user_cat,
             len,
         ));
-        return stages;
+        return;
     }
 
     // Guest submits a block request and kicks the backend; the guest
@@ -98,10 +98,9 @@ pub fn guest_disk_read(
     ));
 
     cl.vms[vm.0].cache.admit(obj, offset, len);
-    stages
 }
 
-/// Builds the stage chain for a guest application writing
+/// Appends to `stages` the chain for a guest application writing
 /// `[offset, offset+len)` of its VM's disk image (write-through; HDFS
 /// block writes are sequential and fsync'd at block completion).
 pub fn guest_disk_write(
@@ -110,7 +109,8 @@ pub fn guest_disk_write(
     offset: u64,
     len: u64,
     user_cat: CpuCategory,
-) -> Vec<Stage> {
+    stages: &mut StageList,
+) {
     let costs = cl.costs.clone();
     let obj = cl.vms[vm.0].fs.image();
     let vcpu = cl.vms[vm.0].vcpu;
@@ -126,7 +126,7 @@ pub fn guest_disk_write(
     // reflects the (slower) effective write bandwidth.
     let dev_bytes = (len as f64 * costs.ssd_bw_bps / costs.ssd_write_bw_bps).round() as u64;
 
-    vec![
+    stages.extend([
         // user -> kernel copy + submission + kick
         Stage::copy(
             vcpu,
@@ -146,13 +146,25 @@ pub fn guest_disk_write(
         Stage::disk(dev, dev_bytes),
         Stage::cpu(vhost, costs.irq_inject_cycles, CpuCategory::Other),
         Stage::cpu(vcpu, costs.blk_complete_cycles, CpuCategory::DiskRead),
-    ]
+    ]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::costs::Costs;
+
+    fn read(cl: &mut Cluster, vm: VmId, offset: u64, len: u64, cat: CpuCategory) -> Vec<Stage> {
+        let mut l = StageList::new();
+        guest_disk_read(cl, vm, offset, len, cat, &mut l);
+        std::iter::from_fn(|| l.pop_front()).collect()
+    }
+
+    fn write(cl: &mut Cluster, vm: VmId, offset: u64, len: u64, cat: CpuCategory) -> Vec<Stage> {
+        let mut l = StageList::new();
+        guest_disk_write(cl, vm, offset, len, cat, &mut l);
+        std::iter::from_fn(|| l.pop_front()).collect()
+    }
 
     fn setup() -> (World, Cluster, VmId) {
         let mut w = World::new(1);
@@ -165,7 +177,7 @@ mod tests {
     #[test]
     fn cold_read_touches_disk() {
         let (_w, mut cl, vm) = setup();
-        let stages = guest_disk_read(&mut cl, vm, 0, 65536, CpuCategory::ClientApp);
+        let stages = read(&mut cl, vm, 0, 65536, CpuCategory::ClientApp);
         assert!(
             stages.iter().any(|s| matches!(s, Stage::Disk { .. })),
             "cold read must hit the device"
@@ -177,8 +189,8 @@ mod tests {
     #[test]
     fn guest_cached_reread_is_one_stage() {
         let (_w, mut cl, vm) = setup();
-        let _ = guest_disk_read(&mut cl, vm, 0, 65536, CpuCategory::ClientApp);
-        let stages = guest_disk_read(&mut cl, vm, 0, 65536, CpuCategory::ClientApp);
+        let _ = read(&mut cl, vm, 0, 65536, CpuCategory::ClientApp);
+        let stages = read(&mut cl, vm, 0, 65536, CpuCategory::ClientApp);
         assert_eq!(stages.len(), 1, "guest-cache hit short-circuits virtio");
         assert!(matches!(
             stages[0],
@@ -193,9 +205,9 @@ mod tests {
     #[test]
     fn host_cached_read_skips_disk_but_not_virtio() {
         let (_w, mut cl, vm) = setup();
-        let _ = guest_disk_read(&mut cl, vm, 0, 65536, CpuCategory::ClientApp);
+        let _ = read(&mut cl, vm, 0, 65536, CpuCategory::ClientApp);
         cl.clear_guest_cache(vm);
-        let stages = guest_disk_read(&mut cl, vm, 0, 65536, CpuCategory::ClientApp);
+        let stages = read(&mut cl, vm, 0, 65536, CpuCategory::ClientApp);
         assert!(
             !stages.iter().any(|s| matches!(s, Stage::Disk { .. })),
             "host cache hit must not touch the device"
@@ -206,17 +218,17 @@ mod tests {
     #[test]
     fn write_hits_device_and_populates_caches() {
         let (_w, mut cl, vm) = setup();
-        let stages = guest_disk_write(&mut cl, vm, 0, 65536, CpuCategory::DatanodeApp);
+        let stages = write(&mut cl, vm, 0, 65536, CpuCategory::DatanodeApp);
         assert!(stages.iter().any(|s| matches!(s, Stage::Disk { .. })));
         // written data is a cache hit afterwards
-        let rd = guest_disk_read(&mut cl, vm, 0, 65536, CpuCategory::DatanodeApp);
+        let rd = read(&mut cl, vm, 0, 65536, CpuCategory::DatanodeApp);
         assert_eq!(rd.len(), 1);
     }
 
     #[test]
     fn write_device_bytes_scaled_for_write_bandwidth() {
         let (_w, mut cl, vm) = setup();
-        let stages = guest_disk_write(&mut cl, vm, 0, 100_000, CpuCategory::Other);
+        let stages = write(&mut cl, vm, 0, 100_000, CpuCategory::Other);
         let Some(Stage::Disk { bytes, .. }) =
             stages.iter().find(|s| matches!(s, Stage::Disk { .. }))
         else {
@@ -240,7 +252,7 @@ mod tests {
             }
         }
         let sink = w.add_actor("sink", Sink);
-        let stages = guest_disk_read(&mut cl, vm, 0, 1 << 20, CpuCategory::ClientApp);
+        let stages = read(&mut cl, vm, 0, 1 << 20, CpuCategory::ClientApp);
         w.ext.insert(cl);
         w.start_chain(stages, sink, Done);
         w.run();

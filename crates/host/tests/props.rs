@@ -152,8 +152,9 @@ proptest! {
         let (fi, off, len) = probe;
         let size = fs.size(ids[fi]);
         prop_assert_eq!(size as usize, model[fi].len());
-        match fs.resolve(ids[fi], off, len) {
-            Ok(extents) => {
+        let mut extents = Vec::new();
+        match fs.resolve(ids[fi], off, len, &mut extents) {
+            Ok(()) => {
                 prop_assert!(off + len <= size);
                 // flatten extents into byte positions
                 let mut got = Vec::new();

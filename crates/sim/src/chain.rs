@@ -232,19 +232,23 @@ impl From<Stage> for StageList {
 impl<const N: usize> From<[Stage; N]> for StageList {
     fn from(arr: [Stage; N]) -> Self {
         let mut l = StageList::new();
-        for s in arr {
-            l.push(s);
-        }
+        l.extend(arr);
         l
+    }
+}
+
+impl Extend<Stage> for StageList {
+    fn extend<I: IntoIterator<Item = Stage>>(&mut self, stages: I) {
+        for s in stages {
+            self.push(s);
+        }
     }
 }
 
 impl From<&[Stage]> for StageList {
     fn from(v: &[Stage]) -> Self {
         let mut l = StageList::new();
-        for &s in v {
-            l.push(s);
-        }
+        l.extend(v.iter().copied());
         l
     }
 }

@@ -31,11 +31,15 @@
 //!   re-arm of the slot holding the minimum, rescans the table.
 //! * **Chain slab** — in-flight chains live in a free-list slab indexed
 //!   directly by [`ChainId`] (generation-tagged against stale resumes)
-//!   rather than a hash map; see [`crate::slab`].
+//!   rather than a hash map (the crate's `slab` module).
 //! * **Unboxed internal events** — engine-internal events (core timers,
 //!   chain resumes) are plain enum variants, and a boxed zero-sized
-//!   completion message does not allocate, so steady-state event traffic
-//!   is allocation-free.
+//!   completion message does not allocate. Every other message is one
+//!   heap box ([`BoxMsg`]): on the benchmark's `vanilla-contended`
+//!   workload those boxes are 13 of the 14.5 allocations per 64 KiB read
+//!   (the rest: the request's path string and the stage spill of
+//!   10-stage inter-host TCP chunks). The boxes stay because type-erased
+//!   inline storage would need `unsafe`, which every crate forbids.
 //!
 //! The per-read maps of the layers above, and [`Extensions`] itself,
 //! hash through [`crate::fxhash`] rather than SipHash.
@@ -884,7 +888,8 @@ impl<'a> Ctx<'a> {
         self.world.start_chain_on(stages, to, msg, span)
     }
 
-    /// Shorthand for a single-CPU-stage chain (allocation-free).
+    /// Shorthand for a single-CPU-stage chain. The stage is stored inline;
+    /// `msg` is boxed unless it is zero-sized.
     pub fn cpu<M: Send + 'static>(
         &mut self,
         thread: ThreadId,

@@ -68,6 +68,21 @@ impl Extensions {
             .map(|b| *b.downcast::<T>().expect("typeid collision"))
     }
 
+    /// Removes the stored `T` in its box, for a caller that puts it back
+    /// with [`Extensions::put`]: the state moves without being copied or
+    /// reallocated.
+    pub fn take<T: 'static>(&mut self) -> Option<Box<T>> {
+        self.map
+            .remove(&TypeId::of::<T>())
+            .map(|b| b.downcast::<T>().expect("typeid collision"))
+    }
+
+    /// Stores a boxed `T` taken with [`Extensions::take`], replacing any
+    /// value of the same type.
+    pub fn put<T: 'static>(&mut self, value: Box<T>) {
+        self.map.insert(TypeId::of::<T>(), value);
+    }
+
     /// Number of stored extension states.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -113,5 +128,19 @@ mod tests {
         assert_eq!(old, Some(CacheState { hits: 1 }));
         assert_eq!(e.remove::<CacheState>(), Some(CacheState { hits: 9 }));
         assert!(e.is_empty());
+    }
+
+    #[test]
+    fn take_and_put_move_the_box() {
+        let mut e = Extensions::new();
+        e.insert(CacheState { hits: 3 });
+        let mut b = e.take::<CacheState>().unwrap();
+        let addr: *const CacheState = &*b;
+        assert!(e.get::<CacheState>().is_none());
+        b.hits += 1;
+        e.put(b);
+        let back = e.get::<CacheState>().unwrap();
+        assert_eq!(back.hits, 4);
+        assert!(std::ptr::eq(addr, back), "put reuses the taken box");
     }
 }

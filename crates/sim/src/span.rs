@@ -3,14 +3,14 @@
 //! The paper's argument is an *accounting* argument: every vanilla HDFS
 //! read costs at least five data copies, vRead costs two, and the CPU
 //! breakdowns of Figures 9/10 attribute cycles to the layer that burned
-//! them. Raw engine traces ([`crate::trace`]) record events without
-//! causality; this module records *why*: a [`SpanId`] is minted at the
-//! top of each logical operation (an HDFS read), propagated through
-//! every protocol message on its causal path, and attached to the stage
-//! chains doing the work. The scheduler charges cycles to the span of
-//! the work item it is executing; [`Stage::Copy`](crate::Stage) stages
-//! additionally record the bytes they move, so the number of data copies
-//! per read falls out of the ledger instead of being asserted by hand.
+//! them. Engine events carry no causality; this module records *why*: a
+//! [`SpanId`] is minted at the top of each logical operation (an HDFS
+//! read), propagated through every protocol message on its causal path,
+//! and attached to the stage chains doing the work. The scheduler charges
+//! cycles to the span of the work item it is executing;
+//! [`Stage::Copy`](crate::Stage) stages additionally record the bytes
+//! they move, so the number of data copies per read falls out of the
+//! ledger instead of being asserted by hand.
 //!
 //! Span collection is **off by default** and costs one branch per charge
 //! site when disabled (no allocation, no time reads). All bookkeeping
@@ -18,7 +18,7 @@
 //! across parallel harness job counts.
 //!
 //! Spans live in a generation-tagged free-list slab exactly like chains
-//! ([`crate::slab`]): a late charge against a retired span id misses
+//! (the crate's `slab` module): a late charge against a retired span id misses
 //! cleanly and is counted as *unattributed* instead of corrupting
 //! whatever span recycled the slot.
 
